@@ -1,6 +1,6 @@
 package peats
 
-// Benchmark harness: one bench family per experiment in DESIGN.md §4.
+// Benchmark harness: one bench family per experiment.
 // Run everything with
 //
 //	go test -bench=. -benchmem .

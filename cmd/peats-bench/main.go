@@ -1,11 +1,11 @@
 // peats-bench regenerates the paper's evaluation tables on the running
-// implementation (see DESIGN.md §4 for the experiment index):
+// implementation:
 //
 //	peats-bench -table bits        E1: memory comparison (§5.2, fn. 3-4)
 //	peats-bench -table ops         E8: operation counts vs ACL baseline (§7)
 //	peats-bench -table resilience  E2: n ≥ 3t+1 bound (Thm. 2 / Cor. 1)
 //	peats-bench -table kvalued     E3: n ≥ (k+1)t+1 bound (Thms. 3-4)
-//	peats-bench -table ablation    design-choice costs (DESIGN.md §4)
+//	peats-bench -table ablation    design-choice costs
 //	peats-bench -table stores      storage-engine comparison (slice vs indexed)
 //	peats-bench -table agreement   agreement layer: batched vs unbatched, read-only vs ordered
 //	peats-bench -table shards      sharded space: fast-path reads under write contention per shard count
@@ -203,7 +203,7 @@ func run(cfg benchConfig) error {
 		fmt.Println()
 	}
 	if want("ablation") {
-		fmt.Println("Ablations — design-choice costs (DESIGN.md §4):")
+		fmt.Println("Ablations — design-choice costs:")
 		rows, err := bench.AblationTable(ctx, 2000)
 		if err != nil {
 			return err

@@ -15,7 +15,7 @@ import (
 )
 
 // AblationRow is one design-choice measurement: the same workload with
-// the design element on and off (DESIGN.md §4 ablations).
+// the design element on and off.
 type AblationRow struct {
 	Name     string
 	Baseline time.Duration // per-op, element off
@@ -23,7 +23,7 @@ type AblationRow struct {
 	Note     string
 }
 
-// AblationTable measures the three ablations called out in DESIGN.md:
+// AblationTable measures three ablations:
 // reference-monitor overhead, the wait-free helping mechanism, and the
 // replication quorum size.
 func AblationTable(ctx context.Context, iters int) ([]AblationRow, error) {

@@ -47,11 +47,8 @@ func (s *Store) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64, bool) 
 	return t, seq, ok
 }
 
-// FindAll implements space.Store.
-func (s *Store) FindAll(tmpl tuple.Tuple) []space.SeqTuple { return s.inner.FindAll(tmpl) }
-
-// Count implements space.Store.
-func (s *Store) Count(tmpl tuple.Tuple) int { return s.inner.Count(tmpl) }
+// Scan implements space.Store.
+func (s *Store) Scan(tmpl tuple.Tuple, fn func(space.SeqTuple) bool) { s.inner.Scan(tmpl, fn) }
 
 // Len implements space.Store.
 func (s *Store) Len() int { return s.inner.Len() }

@@ -38,14 +38,29 @@ func newDurableSpace(t *testing.T, dir string, n int, opts durable.Options) (*sp
 // temp data directory, with segment rotation and auto-compaction live
 // mid-run — observationally identical to the single-shard slice-store
 // reference at every swept shard count, exactly like the in-memory
-// engines. After each run the directory is reopened and the recovered
-// state must equal the reference's final snapshot: the write-ahead log
-// is part of the determinism contract, not just a best-effort backup.
+// engines. After each run the directory is reopened, the recovered
+// state must equal the reference's final snapshot and go on answering
+// like it: the write-ahead log is part of the determinism contract, not
+// just a best-effort backup.
 func TestSpaceParityDurableEngine(t *testing.T) {
+	durableParity(t, 400, 404, 800, space.DriveSpacePair)
+}
+
+// TestSpaceParityDurableSharedTag is the same over a population of
+// 5000 tuples under two tags: the recovered space, its index rebuilt
+// from the log in one batch, must keep giving the reference's answers.
+func TestSpaceParityDurableSharedTag(t *testing.T) {
+	durableParity(t, 600, 601, 600, space.DriveSharedTagPair)
+}
+
+// durableParity runs drive over seeds [lo,hi) at every swept shard
+// count, reopens the directory and compares the recovered contents,
+// then drives the recovered space on against the same reference.
+func durableParity(t *testing.T, lo, hi int64, steps int, drive func(*testing.T, int64, int, *space.Space, *space.Space)) {
 	for _, n := range []int{1, 4, 16} {
 		n := n
 		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
-			for seed := int64(400); seed < 404; seed++ {
+			for seed := lo; seed < hi; seed++ {
 				ref := space.NewWithStore(space.NewSliceStore())
 				dir := filepath.Join(t.TempDir(), fmt.Sprintf("seed%d", seed))
 				// Small segments and an aggressive auto-compaction
@@ -56,7 +71,7 @@ func TestSpaceParityDurableEngine(t *testing.T) {
 					SegmentBytes:     4 << 10,
 					AutoCompactBytes: 16 << 10,
 				})
-				space.DriveSpacePair(t, seed, 800, ref, sp)
+				drive(t, seed, steps, ref, sp)
 				if err := db.Close(); err != nil {
 					t.Fatal(err)
 				}
@@ -71,6 +86,7 @@ func TestSpaceParityDurableEngine(t *testing.T) {
 						t.Fatalf("seed %d: recovered[%d] = %v, want %v", seed, i, got[i], want[i])
 					}
 				}
+				drive(t, seed+1000, steps/4, ref, reopened)
 				db2.Close()
 			}
 		})

@@ -2,32 +2,39 @@ package space
 
 import "peats/internal/tuple"
 
-// IndexedStore is the production storage engine. Tuples are bucketed by
-// arity and, within an arity, hashed on the canonical key of their
-// first field, so the common template shapes — a defined tag field
-// followed by wildcards or formals, as used by every consensus object
-// and universal construction in this repository — match in O(bucket)
-// instead of O(space).
+// IndexedStore is the production storage engine. It indexes on two
+// levels. Tuples are bucketed by arity and, within an arity, hashed on
+// the canonical key of their first field. Every object in this
+// repository addresses its tuples as <TAG, key, ?x> — <LOCK, name,
+// ?holder>, <SEQ, pos, ?inv>, <PROPOSE, pid, ?v> — so one first-field
+// list can hold an object's whole state; once such a list outgrows
+// subIndexMin its records are additionally posted under the key of each
+// later field, and a lookup walks the shortest list among those its
+// template's defined fields select. Shared-tag templates then match in
+// O(matches) instead of O(tag), while unique-first-field tuples (lists
+// of length one) never build or consult a second level.
 //
 // Insertion order is preserved through the space-assigned sequence
 // numbers: each record carries the seq it was inserted with, and every
-// index list is append-only and therefore seq-sorted. A lookup scans
-// exactly one candidate list in seq order, so the first full match it
-// encounters is the first match in insertion order — the same tuple the
-// reference SliceStore returns. Key collisions only add skipped
-// candidates, never reordered ones, so the determinism contract of
-// Store holds and the space remains a deterministic state machine for
-// the BFT substrate.
+// index list — first-field or posting — is append-only and therefore
+// seq-sorted. A lookup scans exactly one candidate list in seq order,
+// and every list a template's defined fields select holds all of its
+// matches, so the first full match it encounters is the first match in
+// insertion order — the same tuple the reference SliceStore returns.
+// Key collisions only add skipped candidates, never reordered ones, so
+// the determinism contract of Store holds and the space remains a
+// deterministic state machine for the BFT substrate.
 //
 // Removal marks records dead in place (O(1)) and the store compacts
 // all index structures once at least half the records are dead, keeping
 // amortised cost per operation constant. Removal scans additionally
 // trim dead records from the head of the list they walked, so
 // queue-like workloads (out/in on one key) do not accumulate tombstones
-// in their hot list. Pure reads (Find with remove=false, FindAll,
-// Count, ForEach, Snapshot) never mutate anything — the Store
-// concurrency contract — so the sharded space can run them under
-// shared locks.
+// in their hot list. Pure reads (Find with remove=false, Scan, ForEach,
+// Iter, Snapshot) never mutate anything — the Store concurrency
+// contract — so the sharded space can run them under shared locks; the
+// second level is built by writers only (Insert, InsertBatch,
+// compaction).
 type IndexedStore struct {
 	live    int
 	order   []*irec // global insertion (seq) order; may contain dead records
@@ -47,14 +54,37 @@ type irec struct {
 type arityBucket struct {
 	live  int
 	all   []*irec            // seq order; for templates with an undefined first field
-	byKey map[string][]*irec // first-field key → seq order
+	byKey map[string]keyList // first-field key → its records
+}
+
+// keyList holds the records sharing one first-field key.
+type keyList struct {
+	recs []*irec // seq order
+	// sub is the second index level, nil while recs has never outgrown
+	// subIndexMin: the posting list, in seq order, of every later field
+	// value a record of recs carries.
+	sub map[posting][]*irec
+}
+
+// posting names one posting list of a keyList: the records whose field
+// pos (1 ≤ pos < arity) has the canonical key.
+type posting struct {
+	pos int
+	key string
 }
 
 var _ Store = (*IndexedStore)(nil)
 
-// compactMin is the order-list length below which compaction is not
-// worth the rebuild.
-const compactMin = 32
+const (
+	// compactMin is the order-list length below which compaction is not
+	// worth the rebuild.
+	compactMin = 32
+	// subIndexMin is the first-field list length up to which a linear
+	// walk beats hashing more fields: longer lists get the second index
+	// level, and a lookup that has found a list this short stops looking
+	// for a shorter one.
+	subIndexMin = 8
+)
 
 // NewIndexedStore returns an empty indexed store.
 func NewIndexedStore() *IndexedStore {
@@ -103,37 +133,97 @@ func (s *IndexedStore) index(r *irec) {
 	arity := r.t.Arity()
 	b := s.buckets[arity]
 	if b == nil {
-		b = &arityBucket{byKey: make(map[string][]*irec)}
+		b = &arityBucket{byKey: make(map[string]keyList)}
 		s.buckets[arity] = b
 	}
 	b.all = append(b.all, r)
-	if key, ok := r.t.Field(0).MatchKey(); ok {
-		b.byKey[key] = append(b.byKey[key], r)
-	}
 	b.live++
+	key, ok := r.t.Field(0).MatchKey()
+	if !ok {
+		return
+	}
+	kl := b.byKey[key]
+	kl.recs = append(kl.recs, r)
+	switch {
+	case kl.sub != nil:
+		kl.post(r)
+	case len(kl.recs) > subIndexMin && arity > 1:
+		kl.sub = make(map[posting][]*irec)
+		for _, old := range kl.recs {
+			if !old.dead {
+				kl.post(old)
+			}
+		}
+	}
+	b.byKey[key] = kl
 }
 
-// candidates returns the one index list that holds every possible match
-// for tmpl, in seq order: the first-field key list when the template's
-// first field is defined, the whole arity bucket otherwise.
-func (s *IndexedStore) candidates(tmpl tuple.Tuple) (b *arityBucket, list []*irec, key string, keyed bool) {
+// post appends r to the posting list of each of its later fields. An
+// undefined field (a non-entry) has no key and is not posted: no
+// template matches the record anyway.
+func (kl *keyList) post(r *irec) {
+	for pos := 1; pos < r.t.Arity(); pos++ {
+		if key, ok := r.t.Field(pos).MatchKey(); ok {
+			at := posting{pos, key}
+			kl.sub[at] = append(kl.sub[at], r)
+		}
+	}
+}
+
+// candidates returns a list that holds every possible match for tmpl,
+// in seq order, and where it is filed so a removal can store the
+// trimmed list back: the whole arity bucket (key "") when the
+// template's first field is undefined, else the first-field list of key
+// (at.pos 0) or, where that list is sub-indexed, the shortest posting
+// list among the template's other defined fields. A nil bucket means
+// nothing can match.
+func (s *IndexedStore) candidates(tmpl tuple.Tuple) (list []*irec, b *arityBucket, key string, at posting) {
 	b = s.buckets[tmpl.Arity()]
 	if b == nil || b.live == 0 {
-		return nil, nil, "", false
+		return nil, nil, "", at
 	}
-	if key, ok := tmpl.Field(0).MatchKey(); ok {
-		return b, b.byKey[key], key, true
+	key, ok := tmpl.Field(0).MatchKey()
+	if !ok {
+		return b.all, b, "", at
 	}
-	return b, b.all, "", false
+	kl := b.byKey[key]
+	list = kl.recs
+	if kl.sub == nil {
+		return list, b, key, at
+	}
+	for pos := 1; pos < tmpl.Arity() && len(list) > subIndexMin; pos++ {
+		if pkey, ok := tmpl.Field(pos).MatchKey(); ok {
+			if l := kl.sub[posting{pos, pkey}]; len(l) < len(list) {
+				list, at = l, posting{pos, pkey}
+			}
+		}
+	}
+	return list, b, key, at
+}
+
+// putBack files the head-trimmed list back where candidates found it,
+// dropping the map entry of a list trimmed to nothing.
+func (b *arityBucket) putBack(key string, at posting, kept []*irec) {
+	switch {
+	case key == "":
+		b.all = kept
+	case at.pos == 0 && len(kept) == 0:
+		delete(b.byKey, key)
+	case at.pos == 0:
+		kl := b.byKey[key]
+		kl.recs = kept
+		b.byKey[key] = kl
+	case len(kept) == 0:
+		delete(b.byKey[key].sub, at)
+	default:
+		b.byKey[key].sub[at] = kept
+	}
 }
 
 // Find implements Store. The remove=false path is a pure scan — no
 // trimming, no compaction — per the Store concurrency contract.
 func (s *IndexedStore) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64, bool) {
-	b, list, key, keyed := s.candidates(tmpl)
-	if b == nil {
-		return tuple.Tuple{}, 0, false
-	}
+	list, b, key, at := s.candidates(tmpl)
 	if !remove {
 		for _, r := range list {
 			if !r.dead && tuple.Matches(r.t, tmpl) {
@@ -143,14 +233,8 @@ func (s *IndexedStore) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64,
 		return tuple.Tuple{}, 0, false
 	}
 	kept, t, seq, ok := s.remove(list, tmpl)
-	if keyed {
-		if len(kept) == 0 {
-			delete(b.byKey, key)
-		} else {
-			b.byKey[key] = kept
-		}
-	} else {
-		b.all = kept
+	if len(kept) != len(list) { // trimmed, so the list exists and so does b
+		b.putBack(key, at, kept)
 	}
 	if ok {
 		s.maybeCompact()
@@ -190,28 +274,14 @@ func (s *IndexedStore) remove(list []*irec, tmpl tuple.Tuple) (kept []*irec, t t
 	return list[head:], tuple.Tuple{}, 0, false
 }
 
-// FindAll implements Store.
-func (s *IndexedStore) FindAll(tmpl tuple.Tuple) []SeqTuple {
-	_, list, _, _ := s.candidates(tmpl)
-	var out []SeqTuple
+// Scan implements Store.
+func (s *IndexedStore) Scan(tmpl tuple.Tuple, fn func(SeqTuple) bool) {
+	list, _, _, _ := s.candidates(tmpl)
 	for _, r := range list {
-		if !r.dead && tuple.Matches(r.t, tmpl) {
-			out = append(out, SeqTuple{Seq: r.seq, T: r.t})
+		if !r.dead && tuple.Matches(r.t, tmpl) && !fn(SeqTuple{Seq: r.seq, T: r.t}) {
+			return
 		}
 	}
-	return out
-}
-
-// Count implements Store.
-func (s *IndexedStore) Count(tmpl tuple.Tuple) int {
-	_, list, _, _ := s.candidates(tmpl)
-	n := 0
-	for _, r := range list {
-		if !r.dead && tuple.Matches(r.t, tmpl) {
-			n++
-		}
-	}
-	return n
 }
 
 // Len implements Store.

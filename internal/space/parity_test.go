@@ -44,6 +44,24 @@ func bgCtx(t *testing.T) context.Context {
 // seeded rand.Rand, so failures reproduce by seed.
 type parityGen struct {
 	rng *rand.Rand
+	// shared switches entry and template to the shape every object of
+	// the paper stores: <TAG, key, value> under two tags, with keys from
+	// a large range and values from a small one, so one first-field list
+	// holds thousands of tuples and the templates <TAG, key, ?v>,
+	// <TAG, key, value>, <TAG, *, value> and <*, key, *> all occur.
+	shared bool
+}
+
+// sharedKeys is below the population the shared-tag suites preload, so
+// keys repeat within a tag and whole tuples repeat now and then.
+const sharedKeys = 3000
+
+func (g *parityGen) sharedFields() []tuple.Field {
+	return []tuple.Field{
+		tuple.Str([]string{"LOCK", "SEQ"}[g.rng.Intn(2)]),
+		tuple.Int(int64(g.rng.Intn(sharedKeys))),
+		tuple.Str(string(rune('a' + g.rng.Intn(3)))),
+	}
 }
 
 func (g *parityGen) field(defined bool) tuple.Field {
@@ -67,6 +85,9 @@ func (g *parityGen) field(defined bool) tuple.Field {
 
 // entry returns a fully defined tuple of arity 1..3.
 func (g *parityGen) entry() tuple.Tuple {
+	if g.shared {
+		return tuple.T(g.sharedFields()...)
+	}
 	arity := 1 + g.rng.Intn(3)
 	fields := make([]tuple.Field, arity)
 	for i := range fields {
@@ -80,6 +101,15 @@ func (g *parityGen) entry() tuple.Tuple {
 // field, which exercise the indexed store's arity-scan path and the
 // sharded space's merge path.
 func (g *parityGen) template() tuple.Tuple {
+	if g.shared {
+		fields := g.sharedFields()
+		for i := range fields {
+			if g.rng.Intn(3) == 0 {
+				fields[i] = g.field(false)
+			}
+		}
+		return tuple.T(fields...)
+	}
 	arity := 1 + g.rng.Intn(3)
 	fields := make([]tuple.Field, arity)
 	for i := range fields {
@@ -167,13 +197,12 @@ func TestStoreParity(t *testing.T) {
 					idx.InsertBatch(batch)
 				case op < 11: // count
 					tmpl := g.template()
-					if ref.Count(tmpl) != idx.Count(tmpl) {
-						t.Fatalf("step %d: counts diverge (%d vs %d)",
-							i, ref.Count(tmpl), idx.Count(tmpl))
+					if a, b := Count(ref, tmpl), Count(idx, tmpl); a != b {
+						t.Fatalf("step %d: counts diverge (%d vs %d)", i, a, b)
 					}
 				default: // rdall, occasionally snapshot/restore
 					tmpl := g.template()
-					as, bs := ref.FindAll(tmpl), idx.FindAll(tmpl)
+					as, bs := FindAll(ref, tmpl), FindAll(idx, tmpl)
 					if len(as) != len(bs) {
 						t.Fatalf("step %d rdall: %d vs %d matches", i, len(as), len(bs))
 					}
@@ -219,7 +248,39 @@ var shardCounts = []int{1, 4, 16}
 // deterministic state machine.
 func driveSpacePair(t *testing.T, seed int64, steps int, a, b *Space) {
 	t.Helper()
-	g := &parityGen{rng: rand.New(rand.NewSource(seed))}
+	drivePair(t, &parityGen{rng: rand.New(rand.NewSource(seed))}, seed, steps, a, b)
+}
+
+// sharedTagPopulation is the size driveSharedTagPair fills the spaces to.
+const sharedTagPopulation = 5000
+
+// driveSharedTagPair is driveSpacePair over a shared-tag population:
+// it fills both spaces up to sharedTagPopulation tuples under two tags,
+// takes more than half of them out again (so an engine that compacts
+// does), then drives the usual operation mix with templates that
+// address the tuples by key and by value.
+func driveSharedTagPair(t *testing.T, seed int64, steps int, a, b *Space) {
+	t.Helper()
+	g := &parityGen{rng: rand.New(rand.NewSource(seed)), shared: true}
+	for a.Len() < sharedTagPopulation {
+		e := g.entry()
+		if err1, err2 := a.Out(e), b.Out(e); err1 != nil || err2 != nil {
+			t.Fatalf("seed %d fill: %v / %v", seed, err1, err2)
+		}
+	}
+	for i := 0; a.Len() > sharedTagPopulation*2/5; i++ {
+		tmpl := g.template()
+		ta, oka := a.Inp(tmpl)
+		tb, okb := b.Inp(tmpl)
+		if oka != okb || (oka && !ta.Equal(tb)) {
+			t.Fatalf("seed %d drain %d inp %v: %v/%v vs %v/%v", seed, i, tmpl, ta, oka, tb, okb)
+		}
+	}
+	drivePair(t, g, seed, steps, a, b)
+}
+
+func drivePair(t *testing.T, g *parityGen, seed int64, steps int, a, b *Space) {
+	t.Helper()
 	for i := 0; i < steps; i++ {
 		switch g.rng.Intn(8) {
 		case 0, 1:
@@ -331,6 +392,27 @@ func TestSpaceParityAcrossShardCounts(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestSpaceParitySharedTag repeats the shard-count sweep over a
+// population of 5000 tuples under two tags: the indexed engine's second
+// index level and its compaction work on lists thousands long, and must
+// still answer like the slice reference.
+func TestSpaceParitySharedTag(t *testing.T) {
+	for _, n := range shardCounts {
+		n := n
+		t.Run(fmt.Sprintf("shards=%d", n), func(t *testing.T) {
+			lo, hi := suiteSeeds(t, 500, 503)
+			for seed := lo; seed < hi; seed++ {
+				ref := NewWithStore(NewSliceStore())
+				sharded, err := NewSharded(EngineIndexed, n)
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveSharedTagPair(t, seed, 1500, ref, sharded)
+			}
+		})
 	}
 }
 

@@ -44,26 +44,13 @@ func (s *SliceStore) Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64, b
 	return tuple.Tuple{}, 0, false
 }
 
-// FindAll implements Store.
-func (s *SliceStore) FindAll(tmpl tuple.Tuple) []SeqTuple {
-	var out []SeqTuple
+// Scan implements Store.
+func (s *SliceStore) Scan(tmpl tuple.Tuple, fn func(SeqTuple) bool) {
 	for _, r := range s.recs {
-		if tuple.Matches(r.T, tmpl) {
-			out = append(out, r)
+		if tuple.Matches(r.T, tmpl) && !fn(r) {
+			return
 		}
 	}
-	return out
-}
-
-// Count implements Store.
-func (s *SliceStore) Count(tmpl tuple.Tuple) int {
-	n := 0
-	for _, r := range s.recs {
-		if tuple.Matches(r.T, tmpl) {
-			n++
-		}
-	}
-	return n
 }
 
 // Len implements Store.

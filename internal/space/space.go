@@ -653,11 +653,22 @@ func (s *Space) RdAll(tmpl tuple.Tuple) []tuple.Tuple {
 		sh := s.shards[idx]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return stripSeqs(sh.store.FindAll(tmpl))
+		return stripSeqs(FindAll(sh.store, tmpl))
 	}
 	s.rlockAll()
 	defer s.runlockAll()
-	return stripSeqs(s.mergeLocked(func(st Store) []SeqTuple { return st.FindAll(tmpl) }))
+	return stripSeqs(s.findAllLocked(tmpl))
+}
+
+// findAllLocked returns every stored tuple matching tmpl in insertion
+// order: one shard's matches for a keyed template, the merge of every
+// shard's otherwise. The caller holds (at least) read locks on the
+// shards the template routes to.
+func (s *Space) findAllLocked(tmpl tuple.Tuple) []SeqTuple {
+	if idx, keyed := s.TemplateShard(tmpl); keyed {
+		return FindAll(s.shards[idx].store, tmpl)
+	}
+	return s.mergeLocked(func(st Store) []SeqTuple { return FindAll(st, tmpl) })
 }
 
 // mergeLocked collects per-shard seq-sorted lists and k-way-merges
@@ -871,13 +882,22 @@ func (s *Space) CountMatching(tmpl tuple.Tuple) int {
 		sh := s.shards[idx]
 		sh.mu.RLock()
 		defer sh.mu.RUnlock()
-		return sh.store.Count(tmpl)
+		return Count(sh.store, tmpl)
 	}
 	s.rlockAll()
 	defer s.runlockAll()
+	return s.countLocked(tmpl)
+}
+
+// countLocked counts the stored tuples matching tmpl across the shards
+// the template routes to; the caller holds (at least) their read locks.
+func (s *Space) countLocked(tmpl tuple.Tuple) int {
+	if idx, keyed := s.TemplateShard(tmpl); keyed {
+		return Count(s.shards[idx].store, tmpl)
+	}
 	n := 0
 	for _, sh := range s.shards {
-		n += sh.store.Count(tmpl)
+		n += Count(sh.store, tmpl)
 	}
 	return n
 }

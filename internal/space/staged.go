@@ -53,6 +53,17 @@ type Staged struct {
 	// inserts consumed (marked eagerly), for un-marking on abort.
 	takes     []overlayRemoval
 	baseTaken []*OverlayInsert
+
+	// survivor is the Scan callback of peekStored's hidden-seq path and
+	// peek the result it leaves. A func handed through the Store
+	// interface escapes, so the view builds it once and keeps its state
+	// here instead of putting a closure and its captures on the heap at
+	// every lookup.
+	survivor func(SeqTuple) bool
+	peek     struct {
+		best  SeqTuple
+		found bool
+	}
 }
 
 // Stage opens a deferred-update view over the transaction.
@@ -164,22 +175,22 @@ func (st *Staged) peekStored(tmpl tuple.Tuple) (SeqTuple, bool) {
 	if idx, keyed := s.TemplateShard(tmpl); keyed {
 		shards = s.shards[idx : idx+1]
 	}
-	var (
-		best  SeqTuple
-		found bool
-	)
-	for _, sh := range shards {
-		for _, cand := range sh.store.FindAll(tmpl) {
+	if st.survivor == nil {
+		st.survivor = func(cand SeqTuple) bool {
 			if st.isRemoved(cand.Seq) {
-				continue
+				return true
 			}
-			if !found || cand.Seq < best.Seq {
-				best, found = cand, true
+			if !st.peek.found || cand.Seq < st.peek.best.Seq {
+				st.peek.best, st.peek.found = cand, true
 			}
-			break // per-shard lists are seq-sorted: first survivor is the shard's best
+			return false // per-shard scans are seq-sorted: first survivor is the shard's best
 		}
 	}
-	return best, found
+	st.peek.best, st.peek.found = SeqTuple{}, false
+	for _, sh := range shards {
+		sh.store.Scan(tmpl, st.survivor)
+	}
+	return st.peek.best, st.peek.found
 }
 
 // find returns the first match for tmpl in the staged view — stored
@@ -268,16 +279,18 @@ func (st *Staged) Cas(tmpl, t tuple.Tuple) (bool, tuple.Tuple, error) {
 // insertion order (staged inserts last, in staging order).
 func (st *Staged) RdAll(tmpl tuple.Tuple) []tuple.Tuple {
 	s := st.tx.s
-	var stored []SeqTuple
-	if idx, keyed := s.TemplateShard(tmpl); keyed {
-		stored = s.shards[idx].store.FindAll(tmpl)
-	} else {
-		stored = s.mergeLocked(func(sto Store) []SeqTuple { return sto.FindAll(tmpl) })
-	}
 	var out []tuple.Tuple
-	for _, cand := range stored {
+	visible := func(cand SeqTuple) bool {
 		if !st.isRemoved(cand.Seq) {
 			out = append(out, cand.T)
+		}
+		return true
+	}
+	if idx, keyed := s.TemplateShard(tmpl); keyed || len(s.shards) == 1 {
+		s.shards[idx].store.Scan(tmpl, visible)
+	} else {
+		for _, cand := range s.findAllLocked(tmpl) {
+			visible(cand)
 		}
 	}
 	if st.base != nil {

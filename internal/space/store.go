@@ -16,8 +16,9 @@ const (
 	// baseline the indexed engine is property-tested against.
 	EngineSlice Engine = "slice"
 	// EngineIndexed is the production store: tuples bucketed by arity and
-	// hashed on their first field, with insertion order preserved through
-	// the space-assigned sequence numbers.
+	// hashed on their first field, long first-field lists hashed again on
+	// every later field, with insertion order preserved through the
+	// space-assigned sequence numbers.
 	EngineIndexed Engine = "indexed"
 	// EngineDurable is the persistent store: an indexed store wrapped by
 	// the write-ahead log of package durable, which persists every
@@ -50,14 +51,14 @@ type SeqTuple struct {
 // be a pure function of the sequence of Insert/Find(remove)/Reset calls
 // applied so far. Insertion order is the order of the externally
 // assigned sequence numbers (strictly increasing per store); Find and
-// FindAll must select matches in that order, and ForEach and Snapshot
+// Scan must select matches in that order, and ForEach and Snapshot
 // must iterate in it — regardless of how the engine organises tuples
 // internally. Two stores (of any engine) fed the same call sequence
 // must return identical results.
 //
-// Concurrency contract: Find with remove=false, FindAll, Count, Len,
-// ForEach and Snapshot must not mutate any internal state, not even
-// for caching or compaction — the sharded space runs them under shared
+// Concurrency contract: Find with remove=false, Scan, Len, ForEach,
+// Iter and Snapshot must not mutate any internal state, not even for
+// caching or compaction — the sharded space runs them under shared
 // (read) locks, concurrently with each other.
 type Store interface {
 	// Engine identifies the implementation, for reporting.
@@ -75,11 +76,11 @@ type Store interface {
 	// its sequence number, removing it when remove is true. With
 	// remove=false the call must not mutate the store.
 	Find(tmpl tuple.Tuple, remove bool) (tuple.Tuple, uint64, bool)
-	// FindAll returns every stored tuple matching tmpl, in insertion
-	// order with sequence numbers (nil when none match).
-	FindAll(tmpl tuple.Tuple) []SeqTuple
-	// Count returns the number of stored tuples matching tmpl.
-	Count(tmpl tuple.Tuple) int
+	// Scan visits the stored tuples matching tmpl in insertion order,
+	// with their sequence numbers, until fn returns false. It allocates
+	// nothing and must not mutate the store; fn must not call back into
+	// it.
+	Scan(tmpl tuple.Tuple, fn func(SeqTuple) bool)
 	// Len returns the number of stored tuples.
 	Len() int
 	// ForEach visits stored tuples in insertion order until fn returns
@@ -96,6 +97,27 @@ type Store interface {
 	Snapshot() []SeqTuple
 	// Reset discards every stored tuple.
 	Reset()
+}
+
+// FindAll returns every tuple of st matching tmpl, in insertion order
+// with sequence numbers (nil when none match).
+func FindAll(st Store, tmpl tuple.Tuple) []SeqTuple {
+	var out []SeqTuple
+	st.Scan(tmpl, func(c SeqTuple) bool {
+		out = append(out, c)
+		return true
+	})
+	return out
+}
+
+// Count returns the number of tuples of st matching tmpl.
+func Count(st Store, tmpl tuple.Tuple) int {
+	n := 0
+	st.Scan(tmpl, func(SeqTuple) bool {
+		n++
+		return true
+	})
+	return n
 }
 
 // NewStore returns a fresh store for the named engine. The empty engine

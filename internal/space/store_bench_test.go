@@ -96,6 +96,65 @@ func BenchmarkStoreCas(b *testing.B) {
 	}
 }
 
+// BenchmarkStoreSharedTag probes the shape every coordination object
+// of the paper gives its state: n tuples <"LOCK", name_i, holder> under
+// one tag, addressed by name. cas-miss is a lock cycle on a free name
+// (the read misses, the insert runs, an inp of the entry cleans up);
+// cas-hit reads the newest held lock through a formal holder; and
+// inp-at-tail removes and re-inserts the newest tuple by value, the
+// removal a committed unit applies.
+func BenchmarkStoreSharedTag(b *testing.B) {
+	for _, eng := range storeEngines() {
+		for _, size := range []int{64, 4096, 65536} {
+			fill := func() (space.Store, uint64) {
+				st := eng.mk()
+				for i := 0; i < size; i++ {
+					st.Insert(lockTuple(fmt.Sprintf("name%d", i), tuple.Str(fmt.Sprintf("c%d", i%2))), uint64(i+1))
+				}
+				return st, uint64(size + 1)
+			}
+			last := fmt.Sprintf("name%d", size-1)
+			b.Run(fmt.Sprintf("%s/%d/cas-miss", eng.name, size), func(b *testing.B) {
+				st, seq := fill()
+				tmpl, entry := lockTuple("free", tuple.Formal("h")), lockTuple("free", tuple.Str("c0"))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, ok := st.Find(tmpl, false); ok {
+						b.Fatal("free lock is held")
+					}
+					st.Insert(entry, seq)
+					seq++
+					if _, _, ok := st.Find(entry, true); !ok {
+						b.Fatal("acquired lock vanished")
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d/cas-hit", eng.name, size), func(b *testing.B) {
+				st, _ := fill()
+				tmpl := lockTuple(last, tuple.Formal("h"))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, ok := st.Find(tmpl, false); !ok {
+						b.Fatal("held lock not found")
+					}
+				}
+			})
+			b.Run(fmt.Sprintf("%s/%d/inp-at-tail", eng.name, size), func(b *testing.B) {
+				st, seq := fill()
+				entry := lockTuple(last, tuple.Str(fmt.Sprintf("c%d", (size-1)%2)))
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if _, _, ok := st.Find(entry, true); !ok {
+						b.Fatal("tail lock not found")
+					}
+					st.Insert(entry, seq)
+					seq++
+				}
+			})
+		}
+	}
+}
+
 // BenchmarkStoreInsertBatch compares installing a 10k-tuple snapshot
 // via per-tuple Insert against one InsertBatch call — the Restore /
 // checkpoint-install path.

@@ -149,10 +149,7 @@ func (tx *Tx) Cas(tmpl, t tuple.Tuple) (bool, tuple.Tuple, error) {
 
 // RdAll returns every stored tuple matching tmpl (see Space.RdAll).
 func (tx *Tx) RdAll(tmpl tuple.Tuple) []tuple.Tuple {
-	if idx, keyed := tx.s.TemplateShard(tmpl); keyed {
-		return stripSeqs(tx.s.shards[idx].store.FindAll(tmpl))
-	}
-	return stripSeqs(tx.s.mergeLocked(func(st Store) []SeqTuple { return st.FindAll(tmpl) }))
+	return stripSeqs(tx.s.findAllLocked(tmpl))
 }
 
 // Len returns the number of stored tuples.
@@ -160,14 +157,7 @@ func (tx *Tx) Len() int { return tx.s.lenLocked() }
 
 // CountMatching returns how many stored tuples match tmpl.
 func (tx *Tx) CountMatching(tmpl tuple.Tuple) int {
-	if idx, keyed := tx.s.TemplateShard(tmpl); keyed {
-		return tx.s.shards[idx].store.Count(tmpl)
-	}
-	n := 0
-	for _, sh := range tx.s.shards {
-		n += sh.store.Count(tmpl)
-	}
-	return n
+	return tx.s.countLocked(tmpl)
 }
 
 // ForEach visits stored tuples in insertion order until fn returns false.

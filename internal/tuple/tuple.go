@@ -360,31 +360,42 @@ type Bindings map[string]Field
 // The returned Bindings holds one entry per formal field of t (nil when
 // t has none). Match returns false if e is not an entry.
 func Match(e, t Tuple) (Bindings, bool) {
-	if !e.IsEntry() || len(e.fields) != len(t.fields) {
+	if !Matches(e, t) {
 		return nil, false
 	}
 	var binds Bindings
-	for i, tf := range t.fields {
-		ef := e.fields[i]
-		switch {
-		case tf.IsWildcard():
-			// any value matches
-		case tf.IsFormal():
+	for i := range t.fields {
+		if tf := &t.fields[i]; tf.mode == modeFormal {
 			if binds == nil {
 				binds = make(Bindings)
 			}
-			binds[tf.s] = ef
-		default:
-			if !tf.Equal(ef) {
-				return nil, false
-			}
+			binds[tf.s] = e.fields[i]
 		}
 	}
 	return binds, true
 }
 
-// Matches reports whether entry e matches template t, discarding bindings.
+// Matches reports whether entry e matches template t, discarding
+// bindings. It is the store engines' inner loop: one pass that checks
+// each position of e is a value and agrees with t, so a candidate that
+// differs on an early field is rejected after touching that field only,
+// and nothing is allocated.
 func Matches(e, t Tuple) bool {
-	_, ok := Match(e, t)
-	return ok
+	if len(e.fields) == 0 || len(e.fields) != len(t.fields) {
+		return false
+	}
+	for i := range t.fields {
+		ef, tf := &e.fields[i], &t.fields[i]
+		if ef.mode != modeValue {
+			return false
+		}
+		switch tf.mode {
+		case modeWildcard, modeFormal:
+		default:
+			if !tf.Equal(*ef) {
+				return false
+			}
+		}
+	}
+	return true
 }

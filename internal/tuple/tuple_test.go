@@ -177,10 +177,34 @@ func TestMatch(t *testing.T) {
 	}
 }
 
-func TestMatchRejectsTemplateAsEntry(t *testing.T) {
-	tmpl := T(Str("X"), Any())
-	if Matches(tmpl, T(Str("X"), Any())) {
-		t.Error("a template must not match as an entry")
+// TestMatchRejectsNonEntry pins "a non-entry never matches" for the
+// single-pass matcher: the undefined candidate field may sit before or
+// after the position where the template disagrees, or be the only
+// reason to reject.
+func TestMatchRejectsNonEntry(t *testing.T) {
+	tests := []struct {
+		name       string
+		cand, tmpl Tuple
+	}{
+		{"template as entry", T(Str("X"), Any()), T(Str("X"), Any())},
+		{"undefined before the mismatch", T(Any(), Int(1), Int(2)), T(Any(), Int(9), Int(2))},
+		{"undefined after the mismatch", T(Str("X"), Int(1), Formal("v")), T(Str("X"), Int(9), Any())},
+		{"undefined under a defined template field", T(Str("X"), Any()), T(Str("X"), Int(1))},
+		{"undefined last, all else equal", T(Str("X"), Int(1), Any()), T(Str("X"), Int(1), Any())},
+		{"undefined first, all else equal", T(Formal("x"), Int(1)), T(Formal("x"), Int(1))},
+		{"zero field", T(Str("X"), Field{}), T(Str("X"), Any())},
+		{"zero tuples", Tuple{}, Tuple{}},
+	}
+	for _, tt := range tests {
+		if binds, ok := Match(tt.cand, tt.tmpl); ok || binds != nil {
+			t.Errorf("%s: Match(%v, %v) = %v, %v; want no match", tt.name, tt.cand, tt.tmpl, binds, ok)
+		}
+		if Matches(tt.cand, tt.tmpl) {
+			t.Errorf("%s: Matches(%v, %v) = true", tt.name, tt.cand, tt.tmpl)
+		}
+	}
+	if Matches(T(Str("X"), Int(1)), T(Str("X"), Field{})) {
+		t.Error("a zero template field matched a value")
 	}
 }
 
