@@ -71,7 +71,6 @@ func main() {
 		shards     = flag.Int("shards", 1, "space shards: per-shard locking lets reads and writes on different shards run concurrently (1-64)")
 		batch      = flag.Int("batch", 64, "max client requests ordered per agreement round (1 = unbatched)")
 		batchDelay = flag.Duration("batch-delay", 2*time.Millisecond, "max time the primary holds a non-full batch while the pipeline is busy")
-		tentative  = flag.Bool("tentative", true, "execute batches at prepared and reply tentatively, one round before the commit quorum")
 		sqProto    = flag.Int("sendq-protocol", 0, "per-peer protocol send-queue depth in frames; oldest dropped when full (default 4096)")
 		sqRequest  = flag.Int("sendq-request", 0, "per-peer request send-queue depth in frames; newest rejected when full (default 1024)")
 		sqBulk     = flag.Int("sendq-bulk", 0, "per-peer bulk send-queue depth in chunks; whole messages admitted or rejected (default 256)")
@@ -91,7 +90,6 @@ func main() {
 		group: *group, topology: *topoPath,
 		dataDir: *dataDir, fsync: *fsync, metricsAddr: *metricsAt,
 		f: *fFlag, shards: *shards, batch: *batch, batchDelay: *batchDelay,
-		tentative: *tentative,
 		sendq: transport.TCPConfig{
 			ProtocolDepth: *sqProto, RequestDepth: *sqRequest,
 			BulkDepth: *sqBulk, BulkChunk: *bulkChunk,
@@ -110,7 +108,6 @@ type serverConfig struct {
 	metricsAddr                                         string
 	f, shards, batch                                    int
 	batchDelay                                          time.Duration
-	tentative                                           bool
 	sendq                                               transport.TCPConfig
 	verbose                                             bool
 
@@ -281,19 +278,18 @@ func run(cfg serverConfig) error {
 	}
 
 	rep, err := bft.NewReplica(bft.ReplicaConfig{
-		ID:               cfg.id,
-		Replicas:         replicaIDs,
-		F:                cfg.f,
-		Transport:        tr,
-		Service:          svc,
-		BatchSize:        cfg.batch,
-		BatchDelay:       cfg.batchDelay,
-		DisableTentative: !cfg.tentative,
-		Keyring:          kr,
-		Logger:           logger,
-		Group:            cfg.group,
-		AttestKey:        attestKey,
-		Metrics:          reg,
+		ID:         cfg.id,
+		Replicas:   replicaIDs,
+		F:          cfg.f,
+		Transport:  tr,
+		Service:    svc,
+		BatchSize:  cfg.batch,
+		BatchDelay: cfg.batchDelay,
+		Keyring:    kr,
+		Logger:     logger,
+		Group:      cfg.group,
+		AttestKey:  attestKey,
+		Metrics:    reg,
 	})
 	if err != nil {
 		return err

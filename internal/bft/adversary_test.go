@@ -96,7 +96,7 @@ func startBackups(t *testing.T, net *transport.Network, ids []string, vcTimeout 
 
 func TestEquivocatingPrimaryTriggersViewChange(t *testing.T) {
 	// The fake primary answers every client request by sending
-	// CONFLICTING pre-prepares for the same sequence number: the real
+	// CONFLICTING proposals for the same sequence number: the real
 	// request to r1, a forged one to r2 and r3. No prepare quorum can
 	// form on either digest... unless the forged branch wins among
 	// r2/r3 — but the forged "request" fails the digest check. Either
@@ -116,10 +116,10 @@ func TestEquivocatingPrimaryTriggersViewChange(t *testing.T) {
 		if !ok {
 			return // ignore votes; stay silent in the view change
 		}
-		honest := PrePrepare{View: 0, Seq: 1, Digest: req.Digest(), Req: req}
+		honest := Batch{View: 0, Seq: 1, Digest: req.Digest(), Reqs: []Request{req}}
 		forged := req
 		forged.Op = append([]byte{0xff}, forged.Op...)
-		lie := PrePrepare{View: 0, Seq: 1, Digest: forged.Digest(), Req: forged}
+		lie := Batch{View: 0, Seq: 1, Digest: forged.Digest(), Reqs: []Request{forged}}
 		fp.send(t, "r1", honest)
 		fp.send(t, "r2", lie)
 		fp.send(t, "r3", lie)
@@ -138,7 +138,7 @@ func TestEquivocatingPrimaryTriggersViewChange(t *testing.T) {
 }
 
 func TestDirectEquivocationDetected(t *testing.T) {
-	// Sending two different pre-prepares for the same (view, seq) to the
+	// Sending two different proposals for the same (view, seq) to the
 	// SAME backup trips the explicit equivocation check: the backup
 	// starts a view change on its own, without waiting for a timer.
 	ids := []string{"r0", "r1", "r2", "r3"}
@@ -151,8 +151,8 @@ func TestDirectEquivocationDetected(t *testing.T) {
 
 	reqA := Request{Client: "c", ReqID: 1, Op: []byte{1}}
 	reqB := Request{Client: "c", ReqID: 1, Op: []byte{2}}
-	fp.send(t, "r1", PrePrepare{View: 0, Seq: 1, Digest: reqA.Digest(), Req: reqA})
-	fp.send(t, "r1", PrePrepare{View: 0, Seq: 1, Digest: reqB.Digest(), Req: reqB})
+	fp.send(t, "r1", Batch{View: 0, Seq: 1, Digest: reqA.Digest(), Reqs: []Request{reqA}})
+	fp.send(t, "r1", Batch{View: 0, Seq: 1, Digest: reqB.Digest(), Reqs: []Request{reqB}})
 
 	deadline := time.Now().Add(10 * time.Second)
 	for time.Now().Before(deadline) {

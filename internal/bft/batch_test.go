@@ -1,7 +1,6 @@
 package bft
 
 import (
-	"bytes"
 	"context"
 	"fmt"
 	"sync"
@@ -10,18 +9,7 @@ import (
 
 	"peats/internal/policy"
 	"peats/internal/tuple"
-	"peats/internal/wire"
 )
-
-func encodeOutOp(t *testing.T, entry tuple.Tuple) []byte {
-	t.Helper()
-	return wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpOut, Entry: entry})
-}
-
-func encodeInpOp(t *testing.T, tmpl tuple.Tuple) []byte {
-	t.Helper()
-	return wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpInp, Template: tmpl})
-}
 
 // TestClusterBatchedDuplicateRequestsExecuteOnce generalizes
 // TestClusterDuplicateRequestsExecuteOnce to batches: concurrent
@@ -177,9 +165,10 @@ func TestLogBoundedUnderSustainedLoad(t *testing.T) {
 	t.Errorf("log records not garbage-collected at stable checkpoints")
 }
 
-// orderedOnlyService hides the BatchExecutor and ReadOnlyExecutor
-// extensions of a SpaceService, modelling a service that can only
-// execute ordered, one request at a time.
+// orderedOnlyService hides every optional extension of a SpaceService
+// (read-only, tentative, delta checkpoints, durability), modelling a
+// service that can only execute ordered, one request at a time, at
+// commit — the sequential reference the staged path is held to.
 type orderedOnlyService struct {
 	inner *SpaceService
 }
@@ -268,40 +257,5 @@ func TestReadOnlyMatchesOrdered(t *testing.T) {
 		if len(allRO) != len(allOrd) {
 			t.Errorf("rdAll(%v): read-only %d vs ordered %d", tmpl, len(allRO), len(allOrd))
 		}
-	}
-}
-
-// TestExecuteBatchMatchesSequential holds the BatchExecutor extension
-// to its contract: batch execution must be indistinguishable from
-// executing the operations one by one in order.
-func TestExecuteBatchMatchesSequential(t *testing.T) {
-	pol := policy.AllowAll()
-	seqSvc := NewSpaceService(pol)
-	batSvc := NewSpaceService(pol)
-
-	var clients []string
-	var ops [][]byte
-	for i := 0; i < 10; i++ {
-		clients = append(clients, fmt.Sprintf("c%d", i%3))
-		op := encodeOutOp(t, tuple.T(tuple.Str("T"), tuple.Int(int64(i%4))))
-		if i%3 == 2 {
-			op = encodeInpOp(t, tuple.T(tuple.Str("T"), tuple.Any()))
-		}
-		ops = append(ops, op)
-	}
-
-	var seqResults [][]byte
-	for i := range ops {
-		seqResults = append(seqResults, seqSvc.Execute(clients[i], ops[i]))
-	}
-	batResults := batSvc.ExecuteBatch(clients, ops)
-
-	for i := range ops {
-		if !bytes.Equal(seqResults[i], batResults[i]) {
-			t.Errorf("op %d: sequential %x vs batch %x", i, seqResults[i], batResults[i])
-		}
-	}
-	if !bytes.Equal(seqSvc.Snapshot(), batSvc.Snapshot()) {
-		t.Error("state diverged between sequential and batch execution")
 	}
 }

@@ -66,9 +66,9 @@ type Client struct {
 	// Safe because 2f+1 tentative replies prove the batch prepared at
 	// 2f+1 replicas, so every view-change quorum intersects that set in
 	// a correct replica carrying the batch forward under the same
-	// digest. When the tentative vote never forms (replicas with
-	// tentative execution disabled, or a view change in flight), the
-	// committed replies decide as usual — no timeout needed.
+	// digest. When the tentative vote never forms (replicas whose
+	// service cannot stage, or a view change in flight), the committed
+	// replies decide as usual — no timeout needed.
 	AcceptTentative bool
 	// Group, in a partitioned deployment, is the identity of the replica
 	// group this client handle talks to. It is stamped into every
@@ -86,8 +86,8 @@ type Client struct {
 	roTimer vclock.Timer  // reusable read-only fallback timer
 
 	indexes map[string]int // replica id → group index
-	votes   voteBox        // reusable per-invocation vote tally
-	tvotes  voteBox        // tentative-reply camp, tallied separately
+	votes   []voteBox      // reusable per-invocation vote tallies, one per request in flight
+	tvotes  []voteBox      // tentative-reply camps, tallied separately
 	views   []uint64       // per-invocation reported views, by replica index
 	seen    uint64         // bitmask of replicas that reported a view
 }
@@ -129,6 +129,18 @@ func (v *voteBox) best() int {
 		}
 	}
 	return best
+}
+
+// resetBoxes returns n empty vote boxes, reusing the storage of boxes.
+func resetBoxes(boxes []voteBox, n int) []voteBox {
+	for len(boxes) < n {
+		boxes = append(boxes, voteBox{})
+	}
+	boxes = boxes[:n]
+	for i := range boxes {
+		boxes[i].reset()
+	}
+	return boxes
 }
 
 // noteView records one replica's claimed view for this invocation.
@@ -225,9 +237,19 @@ func (c *Client) authVector(req Request) [][]byte {
 // Invoke submits op for ordered execution and returns the voted result.
 func (c *Client) Invoke(ctx context.Context, op []byte) ([]byte, error) {
 	c.reqID++
-	req := Request{Client: c.id, ReqID: c.reqID, Op: op, Group: c.Group}
-	req.Auth = c.authVector(req)
-	return c.invokeOrdered(ctx, req)
+	return c.invokeOne(ctx, op)
+}
+
+// invokeOne runs op through the ordered loop under the current request
+// ID: a fresh one for Invoke, and for a read-only invocation falling
+// back the ID of its fast-path attempt (replicas never recorded that
+// attempt, so at-most-once bookkeeping is untouched).
+func (c *Client) invokeOne(ctx context.Context, op []byte) ([]byte, error) {
+	results, err := c.ordered(ctx, c.reqID, [][]byte{op})
+	if err != nil {
+		return nil, err
+	}
+	return results[0], nil
 }
 
 // InvokeCert submits op for ordered execution and returns, along with
@@ -273,7 +295,7 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 			if !ok {
 				return nil, wire.VoteCert{}, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.replyFor(m, req.ReqID)
+			rep, ok := c.replyFor(m, req.ReqID, 1)
 			if !ok || rep.ReadOnly || rep.Tentative {
 				continue // only committed replies carry attestations
 			}
@@ -307,65 +329,6 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 	}
 }
 
-func (c *Client) invokeOrdered(ctx context.Context, req Request) ([]byte, error) {
-	payload, err := Marshal(req)
-	if err != nil {
-		return nil, fmt.Errorf("bft client: %w", err)
-	}
-
-	broadcast := func() {
-		for _, id := range c.replicas {
-			// Best effort: the asynchronous model tolerates loss and the
-			// retransmission loop recovers.
-			_ = c.tr.SendClass(id, payload, transport.ClassRequest)
-		}
-	}
-	if req.Auth != nil {
-		// Happy path: the primary relays the request inside its batch,
-		// and the authenticator vector lets backups vouch for it.
-		_ = c.tr.SendClass(c.primaryGuess(), payload, transport.ClassRequest)
-	} else {
-		broadcast()
-	}
-
-	c.votes.reset()
-	c.tvotes.reset()
-	c.seen = 0
-	c.armRetx()
-	defer c.retx.Stop()
-	for {
-		select {
-		case <-ctx.Done():
-			return nil, fmt.Errorf("bft client: %w", ctx.Err())
-		case <-c.retx.C():
-			broadcast()
-		case m, ok := <-c.tr.Inbox():
-			if !ok {
-				return nil, fmt.Errorf("bft client: transport closed")
-			}
-			rep, ok := c.replyFor(m, req.ReqID)
-			if !ok || rep.ReadOnly {
-				continue // read-only replies never count toward an ordered vote
-			}
-			idx := c.indexes[rep.Replica]
-			c.noteView(idx, rep.View)
-			if rep.Tentative {
-				// Tentative and committed replies vote in separate camps:
-				// a replica may legitimately send both for one request.
-				if c.AcceptTentative && c.tvotes.add(rep.Result, idx) >= 2*c.f+1 {
-					c.adoptView()
-					return rep.Result, nil
-				}
-				continue
-			}
-			if c.votes.add(rep.Result, idx) >= 2*c.f+1 {
-				c.adoptView()
-				return rep.Result, nil
-			}
-		}
-	}
-}
-
 // InvokeBatch pipelines several independent ordered operations: all are
 // submitted at once under consecutive request IDs, so the primary can
 // pack them into a single agreement batch and the whole set costs one
@@ -377,19 +340,18 @@ func (c *Client) invokeOrdered(ctx context.Context, req Request) ([]byte, error)
 // order within the batch the primary forms. As with Invoke, the client
 // issues one InvokeBatch at a time.
 func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error) {
-	switch len(ops) {
-	case 0:
+	if len(ops) == 0 {
 		return nil, nil
-	case 1:
-		res, err := c.Invoke(ctx, ops[0])
-		if err != nil {
-			return nil, err
-		}
-		return [][]byte{res}, nil
 	}
-
 	firstID := c.reqID + 1
 	c.reqID += uint64(len(ops))
+	return c.ordered(ctx, firstID, ops)
+}
+
+// ordered is the one ordered invocation loop: it submits ops under the
+// consecutive request IDs starting at firstID and returns once every
+// one of them holds 2f+1 matching replies.
+func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][]byte, error) {
 	payloads := make([][]byte, len(ops))
 	authed := true
 	for i, op := range ops {
@@ -408,8 +370,8 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 	remaining := len(ops)
 	// Per-request vote boxes: replies for different request IDs must
 	// never pool votes.
-	votes := make([]voteBox, len(ops))
-	tvotes := make([]voteBox, len(ops))
+	c.votes = resetBoxes(c.votes, len(ops))
+	c.tvotes = resetBoxes(c.tvotes, len(ops))
 
 	send := func(retransmit bool) {
 		for i, p := range payloads {
@@ -417,11 +379,16 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 				continue
 			}
 			if authed && !retransmit {
+				// Happy path: the primary relays the request inside its
+				// batch, and the authenticator vector lets backups vouch
+				// for it.
 				_ = c.tr.SendClass(c.primaryGuess(), p, transport.ClassRequest)
-			} else {
-				for _, id := range c.replicas {
-					_ = c.tr.SendClass(id, p, transport.ClassRequest)
-				}
+				continue
+			}
+			for _, id := range c.replicas {
+				// Best effort: the asynchronous model tolerates loss and
+				// the retransmission loop recovers.
+				_ = c.tr.SendClass(id, p, transport.ClassRequest)
 			}
 		}
 	}
@@ -440,9 +407,9 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.batchReplyFor(m, firstID, uint64(len(ops)))
+			rep, ok := c.replyFor(m, firstID, uint64(len(ops)))
 			if !ok || rep.ReadOnly {
-				continue
+				continue // read-only replies never count toward an ordered vote
 			}
 			k := int(rep.ReqID - firstID)
 			if done[k] {
@@ -450,12 +417,14 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 			}
 			idx := c.indexes[rep.Replica]
 			c.noteView(idx, rep.View)
-			box := &votes[k]
+			// Tentative and committed replies vote in separate camps: a
+			// replica may legitimately send both for one request.
+			box := &c.votes[k]
 			if rep.Tentative {
 				if !c.AcceptTentative {
 					continue
 				}
-				box = &tvotes[k]
+				box = &c.tvotes[k]
 			}
 			if box.add(rep.Result, idx) >= 2*c.f+1 {
 				results[k] = rep.Result
@@ -467,26 +436,6 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 			}
 		}
 	}
-}
-
-// batchReplyFor validates an inbound message as a reply to one of the
-// current pipelined requests.
-func (c *Client) batchReplyFor(m transport.Inbound, firstID, n uint64) (Reply, bool) {
-	msg, err := Unmarshal(m.Payload)
-	if err != nil {
-		return Reply{}, false
-	}
-	rep, ok := msg.(Reply)
-	if !ok || rep.Replica != m.From || rep.Client != c.id {
-		return Reply{}, false
-	}
-	if rep.ReqID < firstID || rep.ReqID >= firstID+n {
-		return Reply{}, false // stale reply from an earlier invocation
-	}
-	if !c.isReplica(m.From) {
-		return Reply{}, false
-	}
-	return rep, true
 }
 
 // InvokeReadOnly submits a non-mutating op on the read-only fast path,
@@ -520,7 +469,7 @@ func (c *Client) InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error) 
 
 	n := len(c.replicas)
 	need := 2*c.f + 1
-	c.votes.reset()
+	c.votes = resetBoxes(c.votes, 1)
 	c.seen = 0
 	var replied uint64
 	for {
@@ -528,51 +477,45 @@ func (c *Client) InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error) 
 		case <-ctx.Done():
 			return nil, fmt.Errorf("bft client: %w", ctx.Err())
 		case <-deadline.C():
-			return c.orderedFallback(ctx, op)
+			return c.invokeOne(ctx, op)
 		case m, ok := <-c.tr.Inbox():
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.replyFor(m, ro.ReqID)
+			rep, ok := c.replyFor(m, ro.ReqID, 1)
 			if !ok || !rep.ReadOnly {
 				continue
 			}
 			idx := c.indexes[rep.Replica]
 			replied |= 1 << uint(idx)
 			c.noteView(idx, rep.View)
-			if c.votes.add(rep.Result, idx) >= need {
+			if c.votes[0].add(rep.Result, idx) >= need {
 				c.adoptView()
 				return rep.Result, nil
 			}
 			// Fall back as soon as a quorum is impossible: even if every
 			// silent replica joined the largest camp it would not reach
 			// 2f+1 matching replies.
-			if c.votes.best()+(n-bits.OnesCount64(replied)) < need {
-				return c.orderedFallback(ctx, op)
+			if c.votes[0].best()+(n-bits.OnesCount64(replied)) < need {
+				return c.invokeOne(ctx, op)
 			}
 		}
 	}
 }
 
-// orderedFallback re-submits the operation on the ordered path under
-// the same request ID (replicas never recorded the read-only attempt,
-// so at-most-once bookkeeping is untouched).
-func (c *Client) orderedFallback(ctx context.Context, op []byte) ([]byte, error) {
-	req := Request{Client: c.id, ReqID: c.reqID, Op: op, Group: c.Group}
-	req.Auth = c.authVector(req)
-	return c.invokeOrdered(ctx, req)
-}
-
-// replyFor validates an inbound message as a reply to the current
-// request from a genuine replica.
-func (c *Client) replyFor(m transport.Inbound, reqID uint64) (Reply, bool) {
+// replyFor validates an inbound message as a reply from a genuine
+// replica to one of the n requests in flight starting at firstID.
+func (c *Client) replyFor(m transport.Inbound, firstID, n uint64) (Reply, bool) {
 	msg, err := Unmarshal(m.Payload)
 	if err != nil {
 		return Reply{}, false
 	}
 	rep, ok := msg.(Reply)
-	if !ok || rep.Replica != m.From || rep.ReqID != reqID || rep.Client != c.id {
-		return Reply{}, false // stale or foreign message
+	if !ok || rep.Replica != m.From || rep.Client != c.id {
+		return Reply{}, false // foreign message
+	}
+	if rep.ReqID < firstID || rep.ReqID >= firstID+n {
+		return Reply{}, false // stale reply from an earlier invocation
 	}
 	if !c.isReplica(m.From) {
 		return Reply{}, false
@@ -624,7 +567,6 @@ type clusterConfig struct {
 	seed               int64
 	batchSize          int
 	batchDelay         time.Duration
-	disableTentative   bool
 	group              string
 	attestMaster       []byte
 	metrics            *metrics.Registry
@@ -668,14 +610,6 @@ func WithBatchSize(n int) ClusterOption {
 // while earlier batches are in flight.
 func WithBatchDelay(d time.Duration) ClusterOption {
 	return func(c *clusterConfig) { c.batchDelay = d }
-}
-
-// WithTentativeExecution toggles replica-side tentative execution
-// (default on for services that support it). Pass false to make every
-// replica execute and reply only at the commit quorum — the baseline
-// the latency benchmarks compare against.
-func WithTentativeExecution(on bool) ClusterOption {
-	return func(c *clusterConfig) { c.disableTentative = !on }
 }
 
 // WithMetrics instruments every replica of the cluster into one
@@ -751,7 +685,6 @@ func NewCluster(f int, services []Service, opts ...ClusterOption) (*Cluster, err
 			ViewChangeTimeout:     cfg.vcTimeout,
 			BatchSize:             cfg.batchSize,
 			BatchDelay:            cfg.batchDelay,
-			DisableTentative:      cfg.disableTentative,
 			Keyring:               cl.keyrings[ids[i]],
 			Metrics:               cfg.metrics,
 			EventSink:             cfg.eventSink,

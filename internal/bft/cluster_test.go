@@ -253,6 +253,73 @@ func TestClusterViewChangeOnSilentPrimary(t *testing.T) {
 	}
 }
 
+// TestPipelinedWindowSurvivesViewChange flushes a depth-8 SubmitAsync
+// window and cuts the primary off once it has proposed the window's
+// first batch: the rest of the window reaches the backups only by
+// client retransmission and is carried over the view change as pending
+// requests. The new primary must re-propose them in request-ID order —
+// at-most-once keeps only a client's latest ID, so executing the
+// window's 5 before its 3 drops 3 for good and Flush never returns.
+func TestPipelinedWindowSurvivesViewChange(t *testing.T) {
+	cl := newPEATSCluster(t, 1, policy.AllowAll(),
+		WithViewChangeTimeout(200*time.Millisecond),
+		WithBatchSize(8), WithBatchDelay(time.Second))
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+
+	cli := cl.Client("c")
+	cli.RetransmitInterval = 50 * time.Millisecond
+	ts := NewRemoteSpace(cli)
+	if err := ts.Out(ctx, tuple.T(tuple.Str("WARM"))); err != nil {
+		t.Fatal(err)
+	}
+	// The primary proposes the window's first request alone (idle
+	// pipeline) and holds the other seven until that batch commits.
+	// With every hop taking 10ms the commit is three hops away when the
+	// proposal leaves, so the cut below lands with the seven unproposed.
+	for _, id := range cl.IDs {
+		cl.Net.SetNodeFaults(id, 0, 10*time.Millisecond)
+	}
+
+	const depth = 8
+	handles := make([]*PendingSubmit, depth)
+	for i := range handles {
+		handles[i] = ts.SubmitAsync(peats.OutOp(tuple.T(tuple.Str("WIN"), tuple.Int(int64(i)))))
+	}
+	proposed := cl.Replicas[0].BatchesProposed()
+	flushed := make(chan error, 1)
+	go func() { flushed <- ts.Flush(ctx) }()
+	for cl.Replicas[0].BatchesProposed() == proposed {
+		if ctx.Err() != nil {
+			t.Fatal("primary never proposed the window")
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cl.Net.Partition([]string{"r0"}) // halt the primary mid-window
+	if got := cl.Replicas[0].BatchesProposed() - proposed; got != 1 {
+		t.Fatalf("primary proposed %d batches before the cut, want 1", got)
+	}
+
+	if err := <-flushed; err != nil {
+		t.Fatalf("flush across the view change: %v", err)
+	}
+	for i, h := range handles {
+		if _, err := h.Results(); err != nil {
+			t.Errorf("handle %d: %v", i, err)
+		}
+	}
+	all, err := ts.RdAll(ctx, tuple.T(tuple.Str("WIN"), tuple.Any()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != depth {
+		t.Errorf("%d WIN tuples, want %d (lost or double execution)", len(all), depth)
+	}
+	if v := cl.Replicas[1].View(); v == 0 {
+		t.Error("window completed without a view change")
+	}
+}
+
 func TestClusterCheckpointStateTransfer(t *testing.T) {
 	// A replica partitioned during a burst of operations catches up via
 	// state transfer after healing.

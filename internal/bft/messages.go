@@ -20,8 +20,9 @@
 //     ordered list of client requests under a single digest and
 //     sequence number. The primary accumulates concurrently arriving
 //     requests and assigns sequence numbers without waiting for earlier
-//     batches to commit, pipelined up to the water-mark window.
-//     A single-request batch travels as the classic PRE-PREPARE.
+//     batches to commit, pipelined up to the water-mark window. BATCH
+//     is the only proposal message: a request proposed alone is a
+//     batch of one.
 //
 //   - Read-only fast path: clients send non-mutating operations as
 //     READ-ONLY messages; replicas execute them against their current
@@ -50,7 +51,9 @@ type MsgType uint8
 // Protocol message types.
 const (
 	MsgRequest MsgType = iota + 1
-	MsgPrePrepare
+	// 2 was the single-request PRE-PREPARE. It stays unassigned so a
+	// stale frame is rejected rather than parsed as something else.
+	_
 	MsgPrepare
 	MsgCommit
 	MsgReply
@@ -70,8 +73,6 @@ func (t MsgType) String() string {
 	switch t {
 	case MsgRequest:
 		return "REQUEST"
-	case MsgPrePrepare:
-		return "PRE-PREPARE"
 	case MsgPrepare:
 		return "PREPARE"
 	case MsgCommit:
@@ -194,19 +195,9 @@ func decodeRequestWire(r *wire.Reader) (Request, error) {
 	return req, nil
 }
 
-// PrePrepare is the primary's ordering proposal for a single request —
-// the wire form of a one-request batch.
-type PrePrepare struct {
-	View   uint64
-	Seq    uint64
-	Digest [32]byte
-	Req    Request
-}
-
-// Batch is the unit of agreement: an ordered list of client requests
-// proposed under a single digest and sequence number. A one-request
-// batch has the digest of its request (and travels as a PRE-PREPARE);
-// larger batches are digested over the concatenated request encodings.
+// Batch is the unit of agreement and the primary's ordering proposal
+// (PBFT's pre-prepare): an ordered list of client requests under a
+// single digest and sequence number. See BatchDigest for the digest.
 type Batch struct {
 	View   uint64
 	Seq    uint64
@@ -216,8 +207,9 @@ type Batch struct {
 
 // BatchDigest returns the canonical digest of an ordered request list:
 // the digest of the concatenated request digests. For a single request
-// it coincides with the request digest, so the PRE-PREPARE and BATCH
-// forms of the same proposal agree.
+// it is the request digest itself — the NEW-VIEW no-op filler is
+// proposed under its request digest, and a request re-proposed alone
+// after a view change keeps the digest its prepared certificate names.
 func BatchDigest(reqs []Request) [32]byte {
 	ds := make([][32]byte, len(reqs))
 	for i, r := range reqs {
@@ -251,11 +243,6 @@ func batchDigestFrom(ds [][32]byte) [32]byte {
 		buf = append(buf, d[:]...)
 	}
 	return auth.Digest(buf)
-}
-
-// asBatch lifts a pre-prepare into the batch form the replica works on.
-func (pp PrePrepare) asBatch() Batch {
-	return Batch{View: pp.View, Seq: pp.Seq, Digest: pp.Digest, Reqs: []Request{pp.Req}}
 }
 
 // digests returns the per-request digests of the batch and whether the
@@ -406,9 +393,6 @@ func Marshal(msg any) ([]byte, error) {
 	case Request:
 		w.Byte(byte(MsgRequest))
 		encodeRequestWire(w, m)
-	case PrePrepare:
-		w.Byte(byte(MsgPrePrepare))
-		encodePrePrepare(w, m)
 	case Batch:
 		w.Byte(byte(MsgBatch))
 		encodeBatch(w, m)
@@ -495,12 +479,6 @@ func Unmarshal(b []byte) (any, error) {
 			return nil, fmt.Errorf("bft: %w", err)
 		}
 		msg = req
-	case MsgPrePrepare:
-		pp, err := decodePrePrepare(r)
-		if err != nil {
-			return nil, fmt.Errorf("bft: %w", err)
-		}
-		msg = pp
 	case MsgBatch:
 		bt, err := decodeBatch(r)
 		if err != nil {
@@ -580,24 +558,6 @@ func Unmarshal(b []byte) (any, error) {
 // maxBatch bounds decoded request and batch lists so malformed messages
 // cannot force huge allocations.
 const maxBatch = 1 << 16
-
-func encodePrePrepare(w *wire.Writer, pp PrePrepare) {
-	w.Uvarint(pp.View)
-	w.Uvarint(pp.Seq)
-	w.Bytes(pp.Digest[:])
-	encodeRequestWire(w, pp.Req)
-}
-
-func decodePrePrepare(r *wire.Reader) (PrePrepare, error) {
-	pp := PrePrepare{View: r.Uvarint(), Seq: r.Uvarint()}
-	copy(pp.Digest[:], r.BytesView())
-	req, err := decodeRequestWire(r)
-	if err != nil {
-		return PrePrepare{}, err
-	}
-	pp.Req = req
-	return pp, nil
-}
 
 func encodeBatch(w *wire.Writer, b Batch) {
 	w.Uvarint(b.View)

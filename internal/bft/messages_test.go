@@ -17,7 +17,7 @@ func TestMessageRoundTrips(t *testing.T) {
 	msgs := []any{
 		req,
 		authed,
-		PrePrepare{View: 1, Seq: 9, Digest: d, Req: req},
+		Batch{View: 1, Seq: 9, Digest: d, Reqs: []Request{req}},
 		Batch{View: 1, Seq: 10, Digest: BatchDigest(batch), Reqs: batch},
 		Prepare{View: 1, Seq: 9, Digest: d, Replica: "r2"},
 		Commit{View: 1, Seq: 9, Digest: d, Replica: "r0"},
@@ -64,15 +64,28 @@ func TestMarshalUnknownType(t *testing.T) {
 func TestUnmarshalMalformed(t *testing.T) {
 	cases := [][]byte{
 		nil,
-		{0xee},                   // unknown type
-		{byte(MsgRequest)},       // truncated
-		{byte(MsgPrePrepare), 1}, // truncated
+		{0xee},              // unknown type
+		{byte(MsgRequest)},  // truncated
+		{byte(MsgBatch), 1}, // truncated
 		{byte(MsgViewChange), 1, 0, 0xff, 0xff, 0xff, 0xff, 0xff, 0x0f}, // huge count
 	}
 	for i, c := range cases {
 		if _, err := Unmarshal(c); err == nil {
 			t.Errorf("case %d: malformed message accepted", i)
 		}
+	}
+	// Type byte 2 is rejected: it was the single-request PRE-PREPARE, and
+	// a well-formed frame of that retired form must not decode as
+	// anything.
+	req := Request{Client: "c", ReqID: 1, Op: []byte{1}}
+	reqEnc, err := Marshal(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	d := req.Digest()
+	old := append([]byte{2, 0, 1, byte(len(d))}, d[:]...) // type, view 0, seq 1, digest
+	if _, err := Unmarshal(append(old, reqEnc[1:]...)); err == nil {
+		t.Error("type byte 2 accepted")
 	}
 	// Trailing bytes rejected.
 	enc, err := Marshal(StateRequest{Seq: 1, Replica: "r"})
@@ -133,8 +146,8 @@ func TestBatchDigest(t *testing.T) {
 func TestMessageRoundTripProperty(t *testing.T) {
 	f := func(client string, reqID uint64, op []byte, view, seq uint64) bool {
 		req := Request{Client: client, ReqID: reqID, Op: op}
-		pp := PrePrepare{View: view, Seq: seq, Digest: req.Digest(), Req: req}
-		enc, err := Marshal(pp)
+		b := Batch{View: view, Seq: seq, Digest: req.Digest(), Reqs: []Request{req}}
+		enc, err := Marshal(b)
 		if err != nil {
 			return false
 		}
@@ -142,10 +155,10 @@ func TestMessageRoundTripProperty(t *testing.T) {
 		if err != nil {
 			return false
 		}
-		got, ok := dec.(PrePrepare)
+		got, ok := dec.(Batch)
 		return ok && got.View == view && got.Seq == seq &&
-			got.Digest == pp.Digest && got.Req.Client == client &&
-			got.Req.ReqID == reqID && bytes.Equal(got.Req.Op, op)
+			got.Digest == b.Digest && len(got.Reqs) == 1 && got.Reqs[0].Client == client &&
+			got.Reqs[0].ReqID == reqID && bytes.Equal(got.Reqs[0].Op, op)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Error(err)

@@ -387,19 +387,11 @@ func (s *SpaceService) executePrepare(client string, op []byte) []byte {
 	var outcome []byte
 	s.inner.DoRead(func(tx *space.Tx) {
 		st := tx.Stage()
-		s.freezeReservations(st)
-		results := make([]wire.SpaceResult, len(p.Ops))
-		for i, o := range p.Ops {
-			r, abort := s.applyStaged(st, client, o, i, len(p.Ops))
-			results[i] = r
-			if abort {
-				for j := i + 1; j < len(p.Ops); j++ {
-					results[j] = wire.SpaceResult{Status: wire.StatusSkipped}
-				}
-				outcome = encodeOutcome(p.TxID, wire.TxVoteNo, parts, results)
-				s.ptx.pin(p.TxID, wire.TxAborted, nil)
-				return
-			}
+		results, ok := s.runOps(st, client, p.Ops)
+		if !ok {
+			outcome = encodeOutcome(p.TxID, wire.TxVoteNo, parts, results)
+			s.ptx.pin(p.TxID, wire.TxAborted, nil)
+			return
 		}
 		removed, inserts := st.Effects()
 		outcome = encodeOutcome(p.TxID, wire.TxVoteYes, parts, results)

@@ -55,22 +55,16 @@ type ReplicaConfig struct {
 	ViewChangeTimeout time.Duration
 	// BatchSize is the maximum number of client requests the primary
 	// proposes under one sequence number. At 1 (the default) every
-	// request is proposed individually the moment it arrives — the
-	// classic per-request protocol. Above 1 the primary accumulates
-	// requests that arrive while earlier batches are in flight and
-	// proposes them together, amortizing the three-phase round.
+	// request is proposed the moment it arrives, as a batch of one.
+	// Above 1 the primary accumulates requests that arrive while earlier
+	// batches are in flight and proposes them together, amortizing the
+	// three-phase round.
 	BatchSize int
 	// BatchDelay bounds how long the primary holds a non-full batch
 	// open while earlier batches are in flight (default 2ms). It only
 	// matters when BatchSize > 1: an idle pipeline always proposes
 	// immediately, so the delay is never paid at low load.
 	BatchDelay time.Duration
-	// DisableTentative turns off tentative execution: the replica then
-	// executes and replies only once the commit quorum lands. By
-	// default, a service supporting TentativeService executes every
-	// batch the moment it is locally prepared, replying tentatively one
-	// protocol round early (Castro–Liskov).
-	DisableTentative bool
 	// Group names the replica group in a partitioned deployment. A
 	// replica with a group identity stamps it into every reply and
 	// drops client requests addressed to another group (requests with
@@ -147,14 +141,15 @@ type clientRecord struct {
 	lastReply []byte
 }
 
-// tentSeg is the replica-layer residue of one tentatively executed
-// unit: the client records it will install and the replies it produced,
-// held aside until the commit quorum promotes the unit into committed
-// state — or a view change discards it. The committed client table and
-// the service's real state stay untouched in the meantime, so rollback
-// is simply dropping the segment.
+// tentSeg is the replica-layer residue of one executed unit: the client
+// records it will install and the replies it produced. A unit executed
+// at *prepared* waits in tentSegs until its commit quorum lands it in
+// committed state — or a view change discards it. The committed client
+// table and the service's real state stay untouched in the meantime, so
+// rollback is simply dropping the segment.
 type tentSeg struct {
 	seq     uint64
+	staged  bool // effects sit in the service's overlay until land promotes them
 	clients map[string]*clientRecord
 	results [][]byte // aligned with the batch's requests; nil = silent
 }
@@ -235,10 +230,10 @@ type Replica struct {
 	groupStable uint64
 
 	// Tentative execution state. tentSvc is non-nil when the service
-	// supports it and the config does not disable it. tentExecuted is
-	// the highest tentatively executed sequence (always ≥ executed);
-	// tentSegs holds, oldest first, the replica-layer residue of the
-	// unpromoted units executed+1 .. tentExecuted.
+	// supports it. tentExecuted is the highest tentatively executed
+	// sequence (always ≥ executed); tentSegs holds, oldest first, the
+	// replica-layer residue of the unpromoted units
+	// executed+1 .. tentExecuted.
 	tentSvc      TentativeService
 	tentFilter   TentativeFilter
 	tentExecuted uint64
@@ -260,8 +255,7 @@ type Replica struct {
 	timer           vclock.Timer
 	batchTimer      vclock.Timer
 	batchTimerArmed bool
-	driven          bool                // simulation mode: no goroutines, caller delivers events
-	scratchSeen     map[string]struct{} // batchResults duplicate scan, reused
+	driven          bool // simulation mode: no goroutines, caller delivers events
 	stop            chan struct{}
 	done            chan struct{}
 
@@ -374,7 +368,7 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if err := r.initDurable(); err != nil {
 		return nil, err
 	}
-	if ts, ok := cfg.Service.(TentativeService); ok && !cfg.DisableTentative {
+	if ts, ok := cfg.Service.(TentativeService); ok {
 		r.tentSvc = ts
 	}
 	if tf, ok := cfg.Service.(TentativeFilter); ok {
@@ -611,12 +605,6 @@ func (r *Replica) dispatch(m transport.Inbound) {
 			return
 		}
 		r.onReadOnly(msg)
-	case PrePrepare:
-		if m.From != r.primary(msg.View) {
-			r.logf("drop pre-prepare from non-primary %s", m.From)
-			return
-		}
-		r.onBatch(msg.asBatch())
 	case Batch:
 		if m.From != r.primary(msg.View) {
 			r.logf("drop batch from non-primary %s", m.From)
@@ -840,7 +828,7 @@ func (r *Replica) repairOne(seq uint64) {
 		return
 	}
 	if r.isPrimary() {
-		r.sendProposal(*e.batch)
+		r.broadcast(*e.batch)
 	}
 	if e.sentCommit {
 		r.broadcast(Commit{View: r.view, Seq: seq, Digest: e.batch.Digest, Replica: r.cfg.ID})
@@ -929,7 +917,7 @@ func (r *Replica) flushQueue(force bool) {
 		// before the proposal, which acceptBatch merged in.
 		r.tryPrepared(b.Seq)
 		r.tryExecute()
-		pressured := r.sendProposal(b)
+		pressured := r.broadcast(b)
 		r.batchesMirror.Add(1)
 		r.m.batchesProposed.Inc()
 		if r.m.batchDelay != nil {
@@ -949,17 +937,6 @@ func (r *Replica) flushQueue(force bool) {
 		}
 	}
 	r.disarmBatchTimer()
-}
-
-// sendProposal broadcasts a batch proposal, using the classic
-// PRE-PREPARE wire form for single-request batches. It returns the
-// number of peer links that reported backpressure, for the batcher's
-// pacing decision.
-func (r *Replica) sendProposal(b Batch) int {
-	if len(b.Reqs) == 1 {
-		return r.broadcast(PrePrepare{View: b.View, Seq: b.Seq, Digest: b.Digest, Req: b.Reqs[0]})
-	}
-	return r.broadcast(b)
 }
 
 func (r *Replica) armBatchTimer() {
@@ -1255,9 +1232,8 @@ func (r *Replica) committed(e *logEntry) bool {
 	return e != nil && e.batch != nil && bits.OnesCount64(e.commits) >= r.quorum()
 }
 
-// tryExecute applies committed batches in sequence order, each batch
-// atomically. A batch already executed tentatively (its overlay is the
-// oldest segment of the stack) is promoted rather than re-executed.
+// tryExecute lands committed batches in sequence order, each batch
+// atomically.
 func (r *Replica) tryExecute() {
 	for {
 		next := r.executed + 1
@@ -1265,30 +1241,7 @@ func (r *Replica) tryExecute() {
 		if !r.committed(e) {
 			break
 		}
-		switch {
-		case len(r.tentSegs) > 0 && r.tentSegs[0].seq == next:
-			r.promoteTentative(next, e)
-		default:
-			if len(r.tentSegs) > 0 {
-				// The stack cannot start above executed+1: segments are
-				// created consecutively from executed+1 and promoted in
-				// order. Reaching here means the invariant broke —
-				// discard the tentative state and take the direct path.
-				r.logf("tentative stack out of sync at %d (head %d), rolling back",
-					next, r.tentSegs[0].seq)
-				r.rollbackTentative()
-			}
-			if r.durable != nil {
-				// The batch is one atomic WAL unit: its store mutations
-				// frame together with the client-table updates it causes,
-				// so a crash recovers to a batch boundary or not at all.
-				r.durable.BeginUnit(next)
-				r.executeBatch(e)
-				r.durable.CommitUnit(r.unitExtra(e))
-			} else {
-				r.executeBatch(e)
-			}
-		}
+		r.land(next, e)
 		r.m.batchesExecuted.Inc()
 		r.m.requestsExecuted.Add(uint64(len(e.batch.Reqs)))
 		r.emit(EventExecuted, next, len(e.batch.Reqs))
@@ -1314,24 +1267,30 @@ func (r *Replica) tryExecute() {
 	r.tryTentative()
 }
 
-// ---- Tentative execution (Castro–Liskov) ----
+// ---- Execution ----
 //
-// A batch the replica has locally prepared (sentCommit) is proven to be
-// prepared at this replica; once 2f+1 replicas reply tentatively, the
-// client knows the batch prepared at 2f+1 replicas, so any view-change
-// quorum intersects it in a correct replica that carries the batch
-// forward under the same digest — the result can never be revoked.
-// The replica therefore executes at prepared into an overlay
-// (TentativeService), replies with the Tentative flag one protocol
-// round early, and applies the overlay to real state when the commit
-// quorum lands. Nothing tentative touches the committed client table,
-// the stores or the WAL, so a view change that drops a prepared batch
-// rolls back by discarding overlays.
+// Every sequence number executes through executeUnit and reaches
+// committed state through land. A batch the replica has locally
+// prepared (sentCommit) is proven to be prepared at this replica; once
+// 2f+1 replicas reply tentatively, the client knows the batch prepared
+// at 2f+1 replicas, so any view-change quorum intersects it in a
+// correct replica that carries the batch forward under the same digest
+// — the result can never be revoked (Castro–Liskov). The replica
+// therefore executes at prepared into an overlay (TentativeService),
+// replies with the Tentative flag one protocol round early, and lands
+// the unit when the commit quorum arrives. Nothing tentative touches
+// the committed client table, the stores or the WAL, so a view change
+// that drops a prepared batch rolls back by discarding overlays. A
+// batch that is not executed by the time it commits — it committed
+// before it prepared here, or it may not stage — executes inside land.
 
 // tryTentative executes prepared-but-uncommitted batches into the
-// overlay stack, in sequence order directly above the committed prefix.
+// overlay stack, in sequence order directly above the committed prefix,
+// and sends their tentative replies. Pending and assigned records
+// survive untouched so client retransmissions keep driving repair until
+// the batch actually commits.
 func (r *Replica) tryTentative() {
-	if r.tentSvc == nil || r.inViewChange {
+	if r.inViewChange {
 		return
 	}
 	if r.tentExecuted < r.executed {
@@ -1343,37 +1302,53 @@ func (r *Replica) tryTentative() {
 		if e == nil || e.batch == nil || !e.sentCommit || e.executed {
 			return
 		}
-		if r.filteredBatch(e.batch) {
-			// The batch holds an operation the service must execute on
-			// committed state (partition 2PC mutates bookkeeping no
-			// overlay can roll back). Stop here — skipping past it would
-			// break the overlay chain's ordering contract — and let the
-			// commit quorum drive this and all later batches.
+		if !r.stageable(e.batch) {
+			// The batch must execute on committed state. Stop here —
+			// skipping past it would break the overlay chain's ordering
+			// contract — and let the commit quorum drive this and all
+			// later batches.
 			return
 		}
-		r.executeTentative(next, e)
+		seg := r.executeUnit(next, e, true)
+		r.tentSegs = append(r.tentSegs, seg)
 		r.tentExecuted = next
+		r.m.tentativeExecuted.Inc()
+		r.emit(EventTentativeExecuted, next, len(e.batch.Reqs))
+		for i, req := range e.batch.Reqs {
+			if seg.results[i] != nil {
+				r.sendReply(req.Client, Reply{
+					View: r.view, Client: req.Client, ReqID: req.ReqID,
+					Replica: r.cfg.ID, Result: seg.results[i], Tentative: true,
+					Group: r.cfg.Group,
+				})
+			}
+		}
 	}
 }
 
-// filteredBatch reports whether any request of the batch is excluded
-// from tentative execution by the service.
-func (r *Replica) filteredBatch(b *Batch) bool {
-	if r.tentFilter == nil {
+// stageable reports whether the batch may execute into the overlay: the
+// service must support it, and must exclude none of the batch's
+// operations (partition 2PC mutates bookkeeping no overlay can roll
+// back).
+func (r *Replica) stageable(b *Batch) bool {
+	if r.tentSvc == nil {
 		return false
+	}
+	if r.tentFilter == nil {
+		return true
 	}
 	for _, req := range b.Reqs {
 		if !noop(req) && r.tentFilter.SkipTentative(req.Op) {
-			return true
+			return false
 		}
 	}
-	return false
+	return true
 }
 
 // tentLookup resolves a client's at-most-once record through the
 // tentative overlays (newest first), falling back to the committed
-// table — the record state a direct execution would see once every
-// tentative unit commits.
+// table — the record state the unit will see once every tentative unit
+// below it commits.
 func (r *Replica) tentLookup(client string) *clientRecord {
 	for i := len(r.tentSegs) - 1; i >= 0; i-- {
 		if rec, ok := r.tentSegs[i].clients[client]; ok {
@@ -1383,25 +1358,33 @@ func (r *Replica) tentLookup(client string) *clientRecord {
 	return r.clients[client]
 }
 
-// executeTentative runs one prepared batch into a fresh overlay unit
-// and sends tentative replies. The at-most-once bookkeeping lands in
-// the unit's segment, not the committed client table; pending and
-// assigned records survive untouched so client retransmissions keep
-// driving repair until the batch actually commits.
-func (r *Replica) executeTentative(seq uint64, e *logEntry) {
+// executeUnit runs the batch at seq, in request order, and returns its
+// segment; this is the only place a request executes. A staged unit
+// (the caller checked stageable) runs into a fresh overlay unit; any
+// other runs on the service directly, which is only sound at commit
+// time (land). Either way the at-most-once bookkeeping lands in the
+// segment, not the committed client table: a request executes unless
+// the client's record shows it (or a later one) already did — possible
+// across view changes, and within one batch from a Byzantine primary —
+// in which case the last reply is replayed, or nothing is said for an
+// older request.
+func (r *Replica) executeUnit(seq uint64, e *logEntry, staged bool) tentSeg {
 	b := e.batch
 	seg := tentSeg{
 		seq:     seq,
+		staged:  staged,
 		clients: make(map[string]*clientRecord),
 		results: make([][]byte, len(b.Reqs)),
 	}
-	r.tentSvc.BeginTentativeUnit(seq)
+	if seg.staged {
+		r.tentSvc.BeginTentativeUnit(seq)
+	}
 	for i, req := range b.Reqs {
 		if noop(req) {
 			continue
 		}
 		// Within-batch duplicates consult this unit's own records first
-		// — the same order sequential direct execution observes.
+		// — the order sequential execution observes.
 		rec, ok := seg.clients[req.Client]
 		if !ok {
 			rec = r.tentLookup(req.Client)
@@ -1412,61 +1395,70 @@ func (r *Replica) executeTentative(seq uint64, e *logEntry) {
 			}
 			continue
 		}
-		result := r.tentSvc.TentativeExecute(req.Client, req.Op)
+		var result []byte
+		if seg.staged {
+			result = r.tentSvc.TentativeExecute(req.Client, req.Op)
+		} else {
+			result = r.service.Execute(req.Client, req.Op)
+		}
 		seg.clients[req.Client] = &clientRecord{lastReqID: req.ReqID, lastReply: result}
 		seg.results[i] = result
 	}
-	r.tentSvc.EndTentativeUnit()
-	r.tentSegs = append(r.tentSegs, seg)
-	r.m.tentativeExecuted.Inc()
-	r.emit(EventTentativeExecuted, seq, len(b.Reqs))
-	for i, req := range b.Reqs {
-		if noop(req) || seg.results[i] == nil {
-			continue
-		}
-		r.sendReply(req.Client, Reply{
-			View: r.view, Client: req.Client, ReqID: req.ReqID,
-			Replica: r.cfg.ID, Result: seg.results[i], Tentative: true,
-			Group: r.cfg.Group,
-		})
+	if seg.staged {
+		r.tentSvc.EndTentativeUnit()
 	}
+	return seg
 }
 
-// promoteTentative lands the oldest tentative unit in committed state:
-// the service applies its overlay (journaling checkpoint effects
-// exactly as direct execution would), the unit's client records fold
-// into the committed table, and committed replies confirm the
-// tentative ones. On a durable service the whole promotion is one WAL
-// unit, so recovery still lands on a committed-batch boundary.
-func (r *Replica) promoteTentative(next uint64, e *logEntry) {
-	seg := r.tentSegs[0]
-	promote := func() {
-		r.tentSvc.PromoteTentative()
-		for id, rec := range seg.clients {
-			cur, ok := r.clients[id]
-			if !ok {
-				cur = &clientRecord{}
-				r.clients[id] = cur
-			}
-			cur.lastReqID = rec.lastReqID
-			cur.lastReply = rec.lastReply
-		}
+// land puts the committed batch at seq into committed state: it takes
+// the unit's segment off the tentative stack — or executes the unit
+// now — promotes its overlay, folds its client records into the
+// committed table and confirms to the clients. On a durable service the
+// whole step is one WAL unit: the store mutations frame together with
+// the client-table updates the batch causes, so a crash recovers to a
+// batch boundary or not at all.
+//
+// Every replica replies: the client waits for 2f+1 byte-identical
+// replies (the threshold the read-only optimization needs), so all
+// 3f+1 must send for the vote to survive f faulty or slow replicas
+// without falling back to retransmission.
+func (r *Replica) land(seq uint64, e *logEntry) {
+	if len(r.tentSegs) > 0 && r.tentSegs[0].seq != seq {
+		// The stack cannot start above executed+1: segments are created
+		// consecutively from executed+1 and landed in order. Reaching
+		// here means the invariant broke — discard the tentative state
+		// and execute on committed state.
+		r.logf("tentative stack out of sync at %d (head %d), rolling back", seq, r.tentSegs[0].seq)
+		r.rollbackTentative()
 	}
 	if r.durable != nil {
-		r.durable.BeginUnit(next)
-		promote()
-		r.durable.CommitUnit(r.unitExtra(e))
-	} else {
-		promote()
+		r.durable.BeginUnit(seq)
 	}
-	r.tentSegs = r.tentSegs[1:]
+	var seg tentSeg
+	if len(r.tentSegs) > 0 {
+		seg, r.tentSegs = r.tentSegs[0], r.tentSegs[1:]
+	} else {
+		seg = r.executeUnit(seq, e, r.stageable(e.batch))
+	}
 	b := e.batch
-	r.m.tentativePromoted.Inc()
-	r.emit(EventTentativePromoted, next, len(b.Reqs))
+	if seg.staged {
+		r.tentSvc.PromoteTentative()
+		r.m.tentativePromoted.Inc()
+		r.emit(EventTentativePromoted, seq, len(b.Reqs))
+	}
+	for id, rec := range seg.clients {
+		r.clients[id] = rec
+	}
+	if r.durable != nil {
+		r.durable.CommitUnit(r.unitExtra(e))
+	}
 	for i, req := range b.Reqs {
 		if noop(req) {
 			continue
 		}
+		// Every client the batch names is dirty for the next checkpoint
+		// delta (re-encoding an unchanged duplicate record is harmless
+		// and keeps the set identical on every replica).
 		r.dirtyClients[req.Client] = struct{}{}
 		d := e.digests[i]
 		delete(r.pending, d)
@@ -1497,130 +1489,6 @@ func (r *Replica) rollbackTentative() {
 	}
 	r.tentSegs = nil
 	r.tentExecuted = r.executed
-}
-
-// executeBatch applies every request of a committed batch in order and
-// replies to the clients. When the service supports atomic batch
-// execution and the batch holds several fresh requests from distinct
-// clients, they execute in one service critical section.
-//
-// Every replica replies: the client waits for 2f+1 byte-identical
-// replies (the threshold the read-only optimization needs), so all
-// 3f+1 must send for the vote to survive f faulty or slow replicas
-// without falling back to retransmission.
-func (r *Replica) executeBatch(e *logEntry) {
-	b := e.batch
-	results := r.batchResults(b.Reqs)
-	for i, req := range b.Reqs {
-		if noop(req) {
-			continue
-		}
-		// Every client the batch names is dirty for the next checkpoint
-		// delta (re-encoding an unchanged duplicate record is harmless
-		// and keeps the set identical on every replica).
-		r.dirtyClients[req.Client] = struct{}{}
-		d := e.digests[i]
-		delete(r.pending, d)
-		delete(r.assigned, d)
-		delete(r.queued, d)
-		if results[i] != nil {
-			r.sendReply(req.Client, Reply{
-				View: r.view, Client: req.Client, ReqID: req.ReqID,
-				Replica: r.cfg.ID, Result: results[i],
-				Group: r.cfg.Group, Attest: r.attest(req.Op, results[i]),
-			})
-		}
-	}
-}
-
-// batchResults computes the reply for every request of a batch,
-// updating the client table. Fresh requests execute; duplicates are
-// answered from the table (or silently skipped) exactly as in the
-// per-request protocol.
-func (r *Replica) batchResults(reqs []Request) [][]byte {
-	results := make([][]byte, len(reqs))
-	// Fast path: hand all fresh requests to the service in one atomic
-	// step. Only safe when no client appears twice in the batch (a
-	// Byzantine-primary corner): within-batch duplicates need the
-	// sequential at-most-once bookkeeping. The duplicate scan shares
-	// one pass with the gather, using a reusable scratch set.
-	if be, ok := r.service.(BatchExecutor); ok && len(reqs) > 1 {
-		if r.scratchSeen == nil {
-			r.scratchSeen = make(map[string]struct{}, len(reqs))
-		} else {
-			clear(r.scratchSeen)
-		}
-		idx := make([]int, 0, len(reqs))
-		clients := make([]string, 0, len(reqs))
-		ops := make([][]byte, 0, len(reqs))
-		clientTwice := false
-		for i, req := range reqs {
-			if noop(req) {
-				continue
-			}
-			if _, dup := r.scratchSeen[req.Client]; dup {
-				clientTwice = true
-				break
-			}
-			r.scratchSeen[req.Client] = struct{}{}
-			rec := r.clients[req.Client]
-			if rec != nil && req.ReqID <= rec.lastReqID {
-				continue // duplicate: answered below via executeOnce
-			}
-			idx = append(idx, i)
-			clients = append(clients, req.Client)
-			ops = append(ops, req.Op)
-		}
-		if !clientTwice && len(idx) > 1 {
-			out := be.ExecuteBatch(clients, ops)
-			for j, i := range idx {
-				req := reqs[i]
-				rec, ok := r.clients[req.Client]
-				if !ok {
-					rec = &clientRecord{}
-					r.clients[req.Client] = rec
-				}
-				rec.lastReqID = req.ReqID
-				rec.lastReply = out[j]
-				results[i] = out[j]
-			}
-			// Duplicates (and anything else) fall through below.
-			for i, req := range reqs {
-				if results[i] == nil && !noop(req) {
-					results[i] = r.executeOnce(req)
-				}
-			}
-			return results
-		}
-	}
-	for i, req := range reqs {
-		if noop(req) {
-			continue
-		}
-		results[i] = r.executeOnce(req)
-	}
-	return results
-}
-
-// executeOnce applies a request unless the client table shows it was
-// already executed (possible across view changes). It returns the
-// result to send, or nil to stay silent.
-func (r *Replica) executeOnce(req Request) []byte {
-	rec, ok := r.clients[req.Client]
-	if !ok {
-		rec = &clientRecord{}
-		r.clients[req.Client] = rec
-	}
-	if req.ReqID <= rec.lastReqID {
-		if req.ReqID == rec.lastReqID {
-			return rec.lastReply
-		}
-		return nil // old request re-ordered: never re-execute
-	}
-	result := r.service.Execute(req.Client, req.Op)
-	rec.lastReqID = req.ReqID
-	rec.lastReply = result
-	return result
 }
 
 // ---- Read-only fast path ----

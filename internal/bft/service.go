@@ -28,29 +28,21 @@ type Service interface {
 	Restore(snapshot []byte) error
 }
 
-// BatchExecutor is an optional Service extension: a service that can
-// apply a committed batch of operations in one atomic step (one
-// critical section instead of one per operation). The results must be
-// identical to executing the operations one by one in order — the
-// replica falls back to sequential Execute when the extension is
-// absent, and the two paths must not be distinguishable.
-type BatchExecutor interface {
-	// ExecuteBatch applies ops[i] as clients[i] for every i, in order,
-	// atomically, returning one result per operation.
-	ExecuteBatch(clients []string, ops [][]byte) [][]byte
-}
-
 // TentativeService is an optional Service extension backing tentative
 // execution (Castro–Liskov): the replica executes a batch into an
 // overlay as soon as it is *prepared* (BeginTentativeUnit /
 // TentativeExecute / EndTentativeUnit), applies the overlay to real
 // state once the commit quorum lands (PromoteTentative, always in
 // sequence order), and discards every unpromoted overlay when a view
-// change may have dropped prepared batches (RollbackTentative).
-// TentativeExecute must return exactly the bytes Execute would return
-// once every earlier unit commits, and PromoteTentative must leave
-// state and checkpoint journal byte-identical to direct execution. All
-// methods run on the replica event loop.
+// change may have dropped prepared batches (RollbackTentative). A
+// replica whose service has the extension executes every batch this
+// way — one that commits before it is prepared is staged and promoted
+// in the same step — so Execute is the sequential reference the staged
+// path is held to: TentativeExecute must return exactly the bytes
+// Execute would return once every earlier unit commits, and
+// PromoteTentative must leave state and checkpoint journal
+// byte-identical to direct execution. All methods run on the replica
+// event loop.
 type TentativeService interface {
 	BeginTentativeUnit(seq uint64)
 	TentativeExecute(client string, op []byte) []byte
@@ -77,7 +69,7 @@ type TentativeFilter interface {
 // replica then stays silent and the client falls back to ordering.
 //
 // ExecuteReadOnly is called from the replica's read worker pool,
-// concurrently with itself and with Execute/ExecuteBatch on the event
+// concurrently with itself and with ordered execution on the event
 // loop, so implementations must synchronise internally (SpaceService
 // uses the space's shard read locks).
 type ReadOnlyExecutor interface {
@@ -151,7 +143,6 @@ type SpaceService struct {
 
 var (
 	_ Service          = (*SpaceService)(nil)
-	_ BatchExecutor    = (*SpaceService)(nil)
 	_ ReadOnlyExecutor = (*SpaceService)(nil)
 	_ DeltaSnapshotter = (*SpaceService)(nil)
 	_ DurableService   = (*SpaceService)(nil)
@@ -293,46 +284,12 @@ func (s *SpaceService) Execute(client string, op []byte) []byte {
 	return res
 }
 
-// ExecuteBatch implements BatchExecutor: every request of a committed
-// batch executes inside one space critical section scoped to the shards
-// the batch writes, amortizing the locks and making the batch atomic
-// with respect to concurrent read-only execution on those shards.
-// Fast-path reads routed to shards the batch does not write proceed in
-// parallel with the batch. Each request remains its own atomic unit:
-// a transaction that aborts discards only its own staged effects.
-// Partition 2PC operations manage their own locking (a prepare opens a
-// read section, a commit decision a scoped write section), so a batch
-// splits into runs of ordinary requests — each run one critical
-// section — with partition operations executed between runs, in order.
+// ExecuteBatch is Execute in a loop; nothing in this module calls it —
+// it stays only because benchmark/trace.go wraps it by name.
 func (s *SpaceService) ExecuteBatch(clients []string, ops [][]byte) [][]byte {
 	results := make([][]byte, len(ops))
-	decoded := make([]decodedReq, len(ops))
-	for i := 0; i < len(ops); {
-		if wire.IsPartitionOp(ops[i]) {
-			results[i] = s.executePartition(clients[i], ops[i])
-			i++
-			continue
-		}
-		j := i
-		var ws space.ShardSet
-		for j < len(ops) && !wire.IsPartitionOp(ops[j]) {
-			decoded[j] = decodeReq(ops[j])
-			if decoded[j].err != nil {
-				results[j] = decoded[j].encodeErr()
-			} else {
-				s.addWrites(&ws, decoded[j])
-			}
-			j++
-		}
-		s.inner.DoScoped(ws, func(tx *space.Tx) {
-			for k := i; k < j; k++ {
-				if results[k] != nil {
-					continue // malformed: deterministic error already encoded
-				}
-				results[k] = decoded[k].encode(s.executeTxIn(tx, clients[k], decoded[k].ops))
-			}
-		})
-		i = j
+	for i, op := range ops {
+		results[i] = s.Execute(clients[i], op)
 	}
 	return results
 }
@@ -375,6 +332,18 @@ func (s *SpaceService) ExecuteReadOnly(client string, op []byte) ([]byte, bool) 
 // the unexecuted tail marked StatusSkipped.
 func (s *SpaceService) executeTxIn(tx *space.Tx, client string, ops []wire.SpaceOp) []wire.SpaceResult {
 	st := tx.Stage()
+	results, ok := s.runOps(st, client, ops)
+	if ok {
+		s.journalEffects(st)
+		st.Commit()
+	}
+	return results
+}
+
+// runOps executes one request's operations against the staged view, in
+// order, and reports whether the unit may commit. The first aborting
+// op stops it, with the unexecuted tail marked StatusSkipped.
+func (s *SpaceService) runOps(st *space.Staged, client string, ops []wire.SpaceOp) ([]wire.SpaceResult, bool) {
 	s.freezeReservations(st)
 	results := make([]wire.SpaceResult, len(ops))
 	for i, op := range ops {
@@ -384,12 +353,10 @@ func (s *SpaceService) executeTxIn(tx *space.Tx, client string, ops []wire.Space
 			for j := i + 1; j < len(ops); j++ {
 				results[j] = wire.SpaceResult{Status: wire.StatusSkipped}
 			}
-			return results
+			return results, false
 		}
 	}
-	s.journalEffects(st)
-	st.Commit()
-	return results
+	return results, true
 }
 
 // ---- Tentative execution ----
@@ -423,24 +390,11 @@ func (s *SpaceService) TentativeExecute(client string, op []byte) []byte {
 	var res []byte
 	s.inner.DoRead(func(tx *space.Tx) {
 		st := tx.StageOn(s.tentative)
-		s.freezeReservations(st)
-		results := make([]wire.SpaceResult, len(d.ops))
-		aborted := false
-		for i, op := range d.ops {
-			r, abort := s.applyStaged(st, client, op, i, len(d.ops))
-			results[i] = r
-			if abort {
-				for j := i + 1; j < len(d.ops); j++ {
-					results[j] = wire.SpaceResult{Status: wire.StatusSkipped}
-				}
-				aborted = true
-				break
-			}
-		}
-		if aborted {
-			st.AbortTentative()
-		} else {
+		results, ok := s.runOps(st, client, d.ops)
+		if ok {
 			st.CommitTentative()
+		} else {
+			st.AbortTentative()
 		}
 		res = d.encode(results)
 	})

@@ -173,7 +173,7 @@ func TestClusterSubmitConflictingTxsAtomic(t *testing.T) {
 }
 
 // TestServiceTxDeterminismAcrossConfigs feeds one interleaved sequence
-// of single ops, transactions (committing and aborting), and batches to
+// of single ops and transactions (committing and aborting) to
 // services on both engines at shard counts {1,4,16}: every configuration
 // must produce byte-identical result vectors and snapshots.
 func TestServiceTxDeterminismAcrossConfigs(t *testing.T) {
@@ -238,12 +238,8 @@ func TestServiceTxDeterminismAcrossConfigs(t *testing.T) {
 		var ref [][]byte
 		for i, svc := range svcs {
 			var out [][]byte
-			if round%2 == 0 && len(payloads) > 1 {
-				out = svc.ExecuteBatch(clients, payloads)
-			} else {
-				for k := range payloads {
-					out = append(out, svc.Execute(clients[k], payloads[k]))
-				}
+			for k := range payloads {
+				out = append(out, svc.Execute(clients[k], payloads[k]))
 			}
 			if i == 0 {
 				ref = out

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -355,11 +356,13 @@ func TestTentativeReplicaKilledBeforePromotionRecoversToCommittedUnit(t *testing
 }
 
 // TestClusterSubmitTentativeParity runs one randomized Submit sequence
-// against a tentative-execution cluster and a committed-reply cluster,
-// for both in-memory engines at shard counts {1, 4, 16}: the clients
-// must observe byte-identical results and the clusters must converge on
-// byte-identical space snapshots — tentative execution is a latency
-// optimization, never an observable semantic change.
+// against a tentative-execution cluster and a cluster whose services
+// hide the extension (orderedOnlyService: plain Execute at commit, the
+// sequential reference), for both in-memory engines at shard counts
+// {1, 4, 16}: the clients must observe byte-identical results and the
+// clusters must converge on byte-identical space snapshots — staged
+// execution is a latency optimization, never an observable semantic
+// change.
 func TestClusterSubmitTentativeParity(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 120*time.Second)
 	defer cancel()
@@ -376,8 +379,11 @@ func TestClusterSubmitTentativeParity(t *testing.T) {
 						}
 						svcs[i] = svc
 						services[i] = svc
+						if !tentative {
+							services[i] = orderedOnlyService{svc}
+						}
 					}
-					cl, err := NewCluster(1, services, WithTentativeExecution(tentative))
+					cl, err := NewCluster(1, services)
 					if err != nil {
 						t.Fatal(err)
 					}
@@ -530,5 +536,259 @@ func TestSubmitAsyncFlushSharesAgreementBatch(t *testing.T) {
 	// An idle flush is a no-op.
 	if err := ts.Flush(ctx); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// captureTransport records what a driven replica sends; nothing is
+// delivered anywhere.
+type captureTransport struct {
+	id   string
+	sent []transport.Inbound // From holds the addressee
+}
+
+func (c *captureTransport) Self() string { return c.id }
+func (c *captureTransport) Send(to string, p []byte) error {
+	return c.SendClass(to, p, transport.ClassProtocol)
+}
+func (c *captureTransport) SendClass(to string, p []byte, _ transport.Class) error {
+	c.sent = append(c.sent, transport.Inbound{From: to, Payload: p})
+	return nil
+}
+func (c *captureTransport) Inbox() <-chan transport.Inbound { return nil }
+func (c *captureTransport) Close() error                    { return nil }
+
+// drivenBackup is backup r1 of a four-replica group run single-threaded
+// (StartDriven): the test plays the primary r0, the peers r2 and r3 and
+// every client by delivering their messages itself, so the order in
+// which proposal, votes and quorums reach r1 is exact.
+type drivenBackup struct {
+	t   *testing.T
+	rep *Replica
+	out *captureTransport
+}
+
+func newDrivenBackup(t *testing.T, svc Service) *drivenBackup {
+	t.Helper()
+	out := &captureTransport{id: "r1"}
+	rep, err := NewReplica(ReplicaConfig{
+		ID: "r1", Replicas: []string{"r0", "r1", "r2", "r3"}, F: 1,
+		Transport: out, Service: svc, ViewChangeTimeout: time.Hour, Logger: testLogger,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep.StartDriven()
+	t.Cleanup(rep.Stop)
+	return &drivenBackup{t: t, rep: rep, out: out}
+}
+
+func (d *drivenBackup) deliver(from string, msg any) {
+	d.t.Helper()
+	payload, err := Marshal(msg)
+	if err != nil {
+		d.t.Fatal(err)
+	}
+	d.rep.Deliver(transport.Inbound{From: from, Payload: payload})
+}
+
+// propose delivers the clients' own copies of the requests (a backup
+// vouches only for requests it saw first-hand) and then r0's proposal.
+func (d *drivenBackup) propose(seq uint64, reqs ...Request) Batch {
+	d.t.Helper()
+	for _, req := range reqs {
+		d.deliver(req.Client, req)
+	}
+	b := Batch{View: 0, Seq: seq, Digest: BatchDigest(reqs), Reqs: reqs}
+	d.deliver("r0", b)
+	return b
+}
+
+// prepare completes b's prepare quorum at r1 (r0's proposal and r1's
+// own vote count already).
+func (d *drivenBackup) prepare(b Batch) {
+	d.deliver("r2", Prepare{View: 0, Seq: b.Seq, Digest: b.Digest, Replica: "r2"})
+}
+
+// commit delivers a full commit quorum for b from the peers.
+func (d *drivenBackup) commit(b Batch) {
+	for _, p := range []string{"r0", "r2", "r3"} {
+		d.deliver(p, Commit{View: 0, Seq: b.Seq, Digest: b.Digest, Replica: p})
+	}
+}
+
+// replies drains the replies r1 sent to clients since the last call,
+// as "client/reqID/tentative=result" lines in send order.
+func (d *drivenBackup) replies() []string {
+	d.t.Helper()
+	var out []string
+	for _, m := range d.out.sent {
+		msg, err := Unmarshal(m.Payload)
+		if err != nil {
+			d.t.Fatal(err)
+		}
+		if rep, ok := msg.(Reply); ok {
+			out = append(out, fmt.Sprintf("%s/%d/%v=%x", rep.Client, rep.ReqID, rep.Tentative, rep.Result))
+		}
+	}
+	d.out.sent = nil
+	return out
+}
+
+// sequentialReplies is the reference the single execution loop is held
+// to: the requests applied one by one through plain Execute under the
+// at-most-once rule, rendered like drivenBackup.replies renders
+// committed replies.
+func sequentialReplies(svc Service, batches ...[]Request) []string {
+	type record struct {
+		last  uint64
+		reply []byte
+	}
+	table := make(map[string]record)
+	var out []string
+	for _, reqs := range batches {
+		for _, req := range reqs {
+			rec, seen := table[req.Client]
+			switch {
+			case seen && req.ReqID < rec.last:
+				continue // older than the latest executed: silence
+			case seen && req.ReqID == rec.last:
+			default:
+				rec = record{last: req.ReqID, reply: svc.Execute(req.Client, req.Op)}
+				table[req.Client] = rec
+			}
+			out = append(out, fmt.Sprintf("%s/%d/false=%x", req.Client, req.ReqID, rec.reply))
+		}
+	}
+	return out
+}
+
+func committedOnly(replies []string) []string {
+	var out []string
+	for _, r := range replies {
+		if !strings.Contains(r, "/true=") {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// TestSingleExecutionLoop drives the corners of the one executor — a
+// batch committed before it prepared, a 2PC-filtered batch queued
+// behind staged units, a Byzantine primary's batch naming one client
+// twice — through three replicas each: one that prepares every batch
+// before it commits (staged at prepared, promoted at commit), one that
+// only ever sees commit quorums (executed inside land), and one whose
+// service has no extension at all (plain Execute at commit). All three
+// must send the committed replies the sequential reference produces,
+// and end in the same StateDigest.
+func TestSingleExecutionLoop(t *testing.T) {
+	out := func(v int64) []byte {
+		return wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpOut, Entry: tuple.T(tuple.Str("U"), tuple.Int(v))})
+	}
+	inp := wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpInp, Template: tuple.T(tuple.Str("U"), tuple.Any())})
+	req := func(client string, id uint64, op []byte) Request {
+		return Request{Client: client, ReqID: id, Op: op}
+	}
+	tp := newTestTopology("g0")
+	newSvc := func() *SpaceService {
+		svc := NewSpaceService(policy.AllowAll())
+		svc.EnablePartition("g0", tp.dir)
+		return svc
+	}
+
+	cases := []struct {
+		name    string
+		batches [][]Request
+		// wantTentative is how many tentative replies the replica that
+		// prepares everything first sends before any commit arrives.
+		wantTentative int
+	}{
+		{
+			// ReqID 0 from a client with no record: the two loops this
+			// one replaced disagreed on it (one executed, one stayed
+			// silent and left an empty record behind).
+			name: "commit before prepared",
+			batches: [][]Request{
+				{req("a", 1, out(1)), req("z", 0, out(2))},
+				{req("a", 2, inp)},
+			},
+			wantTentative: 3,
+		},
+		{
+			// The prepare at seq 3 reserves the tuple seq 1 wrote, so the
+			// inp at seq 4 must miss it: seq 3 has to run on committed
+			// state after 1 and 2 promote, and 4 only after 3.
+			name: "filtered batch behind staged units",
+			batches: [][]Request{
+				{req("a", 1, out(1))},
+				{req("b", 1, out(2)), req("b", 2, inp)},
+				{req("p", 1, wire.EncodeTxPrepare(wire.TxPrepare{
+					TxID: "p:1:aa", Participants: []string{"g0"},
+					Ops: []wire.SpaceOp{{Op: policy.OpInp, Template: tuple.T(tuple.Str("U"), tuple.Any())}},
+				}))},
+				{req("a", 2, inp)},
+			},
+			wantTentative: 3,
+		},
+		{
+			// In one batch: a fresh request, its successor, the first again
+			// (now stale: silence) and the successor again (replayed).
+			name: "batch naming one client twice",
+			batches: [][]Request{
+				{req("a", 1, out(1)), req("b", 1, out(2)), req("a", 2, inp), req("a", 1, out(1)), req("a", 2, inp)},
+			},
+			wantTentative: 4,
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := sequentialReplies(newSvc(), tc.batches...)
+
+			type variant struct {
+				name         string
+				svc          Service
+				prepareFirst bool
+				wantEarly    int // tentative replies sent before any commit quorum
+			}
+			variants := []variant{
+				{"staged at prepared", newSvc(), true, tc.wantTentative},
+				{"executed at commit", newSvc(), false, 0},
+				{"plain Execute", orderedOnlyService{newSvc()}, true, 0},
+			}
+			var digests [][32]byte
+			for _, v := range variants {
+				d := newDrivenBackup(t, v.svc)
+				var proposed []Batch
+				for i, reqs := range tc.batches {
+					b := d.propose(uint64(i+1), reqs...)
+					if v.prepareFirst {
+						d.prepare(b)
+					}
+					proposed = append(proposed, b)
+				}
+				early := d.replies()
+				if len(committedOnly(early)) != 0 {
+					t.Fatalf("%s: committed replies before any commit quorum: %v", v.name, early)
+				}
+				if len(early) != v.wantEarly {
+					t.Errorf("%s: %d tentative replies before commit, want %d: %v", v.name, len(early), v.wantEarly, early)
+				}
+				for _, b := range proposed {
+					d.commit(b)
+				}
+				if got := committedOnly(d.replies()); fmt.Sprint(got) != fmt.Sprint(want) {
+					t.Errorf("%s: committed replies\n got  %v\n want %v", v.name, got, want)
+				}
+				if got := d.rep.Executed(); got != uint64(len(tc.batches)) {
+					t.Errorf("%s: executed %d of %d batches", v.name, got, len(tc.batches))
+				}
+				digests = append(digests, d.rep.StateDigest())
+			}
+			for i, v := range variants[1:] {
+				if digests[i+1] != digests[0] {
+					t.Errorf("StateDigest of %q differs from %q", v.name, variants[0].name)
+				}
+			}
+		})
 	}
 }

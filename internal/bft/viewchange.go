@@ -457,23 +457,34 @@ func (r *Replica) installView(view uint64, batches []Batch) {
 		// it into the view's batches; backups wait for the client's
 		// retransmission (see onRequest for why replicas never forward).
 		if r.isPrimary() {
-			// Deterministic proposal order for the carried-over requests.
-			digests := make([][32]byte, 0, len(r.pending))
-			for digest := range r.pending {
-				digests = append(digests, digest)
-			}
-			sort.Slice(digests, func(i, j int) bool {
-				return bytes.Compare(digests[i][:], digests[j][:]) < 0
-			})
-			for _, digest := range digests {
-				req := r.pending[digest]
+			// Re-propose each client's carried-over requests in request-ID
+			// order: executing a pipelined window's 5 before its 3 would
+			// drop 3 for good (at-most-once keeps only the latest ID) and
+			// its client would wait forever. The digest only breaks ties
+			// between conflicting requests a Byzantine client sent under
+			// one ID, so the order is the same on every run.
+			carried := make([]queuedReq, 0, len(r.pending))
+			for digest, req := range r.pending {
 				if _, ok := r.assigned[digest]; ok {
 					continue
 				}
 				if rec, ok := r.clients[req.Client]; ok && req.ReqID <= rec.lastReqID {
 					continue // already executed in an earlier view
 				}
-				r.enqueue(req, digest)
+				carried = append(carried, queuedReq{req: req, digest: digest})
+			}
+			sort.Slice(carried, func(i, j int) bool {
+				a, b := carried[i], carried[j]
+				if a.req.Client != b.req.Client {
+					return a.req.Client < b.req.Client
+				}
+				if a.req.ReqID != b.req.ReqID {
+					return a.req.ReqID < b.req.ReqID
+				}
+				return bytes.Compare(a.digest[:], b.digest[:]) < 0
+			})
+			for _, q := range carried {
+				r.enqueue(q.req, q.digest)
 			}
 			r.flushQueue(true)
 		}
