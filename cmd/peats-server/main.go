@@ -69,7 +69,7 @@ func main() {
 		dataDir    = flag.String("data-dir", "", "durable engine data directory (selects -store durable): WAL + snapshots, recovered on restart")
 		fsync      = flag.String("fsync", "interval", "durable engine fsync policy: always (per batch) | interval (group commit) | never")
 		shards     = flag.Int("shards", 1, "space shards: per-shard locking lets reads and writes on different shards run concurrently (1-64)")
-		batch      = flag.Int("batch", 64, "max client requests ordered per agreement round (1 = unbatched)")
+		batch      = flag.Int("batch", 64, "max client operations per batch, i.e. per agreement round (1 = unbatched)")
 		batchDelay = flag.Duration("batch-delay", 2*time.Millisecond, "max time the primary holds a non-full batch while the pipeline is busy")
 		sqProto    = flag.Int("sendq-protocol", 0, "per-peer protocol send-queue depth in frames; oldest dropped when full (default 4096)")
 		sqRequest  = flag.Int("sendq-request", 0, "per-peer request send-queue depth in frames; newest rejected when full (default 1024)")

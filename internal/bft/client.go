@@ -86,7 +86,7 @@ type Client struct {
 	roTimer vclock.Timer  // reusable read-only fallback timer
 
 	indexes map[string]int // replica id → group index
-	votes   []voteBox      // reusable per-invocation vote tallies, one per request in flight
+	votes   []voteBox      // reusable per-invocation vote tallies, one per request (window) in flight
 	tvotes  []voteBox      // tentative-reply camps, tallied separately
 	views   []uint64       // per-invocation reported views, by replica index
 	seen    uint64         // bitmask of replicas that reported a view
@@ -295,7 +295,7 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 			if !ok {
 				return nil, wire.VoteCert{}, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.replyFor(m, req.ReqID, 1)
+			rep, _, ok := c.replyFor(m, req.ReqID, 1)
 			if !ok || rep.ReadOnly || rep.Tentative {
 				continue // only committed replies carry attestations
 			}
@@ -329,16 +329,20 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 	}
 }
 
-// InvokeBatch pipelines several independent ordered operations: all are
-// submitted at once under consecutive request IDs, so the primary can
-// pack them into a single agreement batch and the whole set costs one
-// protocol round instead of len(ops). Results are returned in op order.
-// It fails or succeeds as a whole — on context cancellation no per-op
-// results are reported, mirroring Invoke.
+// InvokeBatch pipelines several ordered operations: they are submitted
+// at once under consecutive request IDs, as one Request per maxWindow
+// operations, so a window costs one frame, one authenticator vector, one
+// protocol round and one reply per replica and phase instead of one per
+// operation. Results are returned in op order. It fails or succeeds as
+// a whole — on context cancellation no per-op results are reported,
+// mirroring Invoke.
 //
-// The operations must be independent: they may execute in any relative
-// order within the batch the primary forms. As with Invoke, the client
-// issues one InvokeBatch at a time.
+// Replicas execute a window's operations contiguously and in submission
+// order inside one agreement batch, each succeeding or aborting on its
+// own. A call of more than maxWindow operations pipelines several
+// windows, which FIFO links keep in order but which may land in
+// different batches. As with Invoke, the client issues one InvokeBatch
+// at a time.
 func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error) {
 	if len(ops) == 0 {
 		return nil, nil
@@ -349,33 +353,39 @@ func (c *Client) InvokeBatch(ctx context.Context, ops [][]byte) ([][]byte, error
 }
 
 // ordered is the one ordered invocation loop: it submits ops under the
-// consecutive request IDs starting at firstID and returns once every
-// one of them holds 2f+1 matching replies.
+// consecutive request IDs starting at firstID, as windows of at most
+// maxWindow operations, and returns once every window holds 2f+1
+// matching replies. A reply answers a whole window, so there is one
+// vote per reply frame.
 func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][]byte, error) {
-	payloads := make([][]byte, len(ops))
+	windows := (len(ops) + maxWindow - 1) / maxWindow
+	// span returns the bounds in ops of the k-th window.
+	span := func(k int) (lo, hi int) { return k * maxWindow, min((k+1)*maxWindow, len(ops)) }
+	payloads := make([][]byte, windows)
 	authed := true
-	for i, op := range ops {
-		req := Request{Client: c.id, ReqID: firstID + uint64(i), Op: op, Group: c.Group}
+	for k := range payloads {
+		lo, hi := span(k)
+		req := Request{Client: c.id, ReqID: firstID + uint64(lo), Op: ops[lo], Tail: ops[lo+1 : hi], Group: c.Group}
 		req.Auth = c.authVector(req)
 		authed = authed && req.Auth != nil
 		p, err := Marshal(req)
 		if err != nil {
 			return nil, fmt.Errorf("bft client: %w", err)
 		}
-		payloads[i] = p
+		payloads[k] = p
 	}
 
 	results := make([][]byte, len(ops))
-	done := make([]bool, len(ops))
-	remaining := len(ops)
-	// Per-request vote boxes: replies for different request IDs must
-	// never pool votes.
-	c.votes = resetBoxes(c.votes, len(ops))
-	c.tvotes = resetBoxes(c.tvotes, len(ops))
+	done := make([]bool, windows)
+	remaining := windows
+	// Per-window vote boxes: replies to different requests must never
+	// pool votes.
+	c.votes = resetBoxes(c.votes, windows)
+	c.tvotes = resetBoxes(c.tvotes, windows)
 
 	send := func(retransmit bool) {
-		for i, p := range payloads {
-			if done[i] {
+		for k, p := range payloads {
+			if done[k] {
 				continue
 			}
 			if authed && !retransmit {
@@ -407,13 +417,9 @@ func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.replyFor(m, firstID, uint64(len(ops)))
-			if !ok || rep.ReadOnly {
+			rep, k, ok := c.replyFor(m, firstID, windows)
+			if !ok || rep.ReadOnly || done[k] {
 				continue // read-only replies never count toward an ordered vote
-			}
-			k := int(rep.ReqID - firstID)
-			if done[k] {
-				continue
 			}
 			idx := c.indexes[rep.Replica]
 			c.noteView(idx, rep.View)
@@ -426,13 +432,19 @@ func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][
 				}
 				box = &c.tvotes[k]
 			}
-			if box.add(rep.Result, idx) >= 2*c.f+1 {
-				results[k] = rep.Result
-				done[k] = true
-				if remaining--; remaining == 0 {
-					c.adoptView()
-					return results, nil
-				}
+			if box.add(rep.Result, idx) < 2*c.f+1 {
+				continue
+			}
+			// 2f+1 replicas, f+1 of them correct, sent these bytes, so
+			// they decode; the check only keeps a bug from panicking.
+			lo, hi := span(k)
+			if err := decodeWindowResults(results[lo:hi], rep.Result); err != nil {
+				return nil, fmt.Errorf("bft client: %w", err)
+			}
+			done[k] = true
+			if remaining--; remaining == 0 {
+				c.adoptView()
+				return results, nil
 			}
 		}
 	}
@@ -482,7 +494,7 @@ func (c *Client) InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error) 
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
 			}
-			rep, ok := c.replyFor(m, ro.ReqID, 1)
+			rep, _, ok := c.replyFor(m, ro.ReqID, 1)
 			if !ok || !rep.ReadOnly {
 				continue
 			}
@@ -504,23 +516,26 @@ func (c *Client) InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error) 
 }
 
 // replyFor validates an inbound message as a reply from a genuine
-// replica to one of the n requests in flight starting at firstID.
-func (c *Client) replyFor(m transport.Inbound, firstID, n uint64) (Reply, bool) {
+// replica to one of the requests in flight — the windows-many requests
+// whose IDs start at firstID and lie maxWindow apart — and returns the
+// index of the request it answers.
+func (c *Client) replyFor(m transport.Inbound, firstID uint64, windows int) (Reply, int, bool) {
 	msg, err := Unmarshal(m.Payload)
 	if err != nil {
-		return Reply{}, false
+		return Reply{}, 0, false
 	}
 	rep, ok := msg.(Reply)
 	if !ok || rep.Replica != m.From || rep.Client != c.id {
-		return Reply{}, false // foreign message
+		return Reply{}, 0, false // foreign message
 	}
-	if rep.ReqID < firstID || rep.ReqID >= firstID+n {
-		return Reply{}, false // stale reply from an earlier invocation
+	off := rep.ReqID - firstID
+	if rep.ReqID < firstID || off%maxWindow != 0 || off/maxWindow >= uint64(windows) {
+		return Reply{}, 0, false // stale reply from an earlier invocation
 	}
 	if !c.isReplica(m.From) {
-		return Reply{}, false
+		return Reply{}, 0, false
 	}
-	return rep, true
+	return rep, int(off / maxWindow), true
 }
 
 func (c *Client) isReplica(id string) bool {
@@ -601,7 +616,8 @@ func WithSeed(seed int64) ClusterOption {
 	return func(c *clusterConfig) { c.seed = seed }
 }
 
-// WithBatchSize sets the replicas' maximum agreement batch size.
+// WithBatchSize sets the replicas' maximum agreement batch size, in
+// client operations.
 func WithBatchSize(n int) ClusterOption {
 	return func(c *clusterConfig) { c.batchSize = n }
 }

@@ -253,17 +253,18 @@ func TestClusterViewChangeOnSilentPrimary(t *testing.T) {
 	}
 }
 
-// TestPipelinedWindowSurvivesViewChange flushes a depth-8 SubmitAsync
-// window and cuts the primary off once it has proposed the window's
-// first batch: the rest of the window reaches the backups only by
-// client retransmission and is carried over the view change as pending
+// TestPipelinedWindowSurvivesViewChange flushes three pipelined windows
+// (2·maxWindow+8 submissions) and cuts the primary off once it has
+// proposed the first: the other two reach the backups only by client
+// retransmission and are carried over the view change as pending
 // requests. The new primary must re-propose them in request-ID order —
-// at-most-once keeps only a client's latest ID, so executing the
-// window's 5 before its 3 drops 3 for good and Flush never returns.
+// at-most-once keeps only a client's latest window, so executing the
+// third before the second drops the second for good and Flush never
+// returns.
 func TestPipelinedWindowSurvivesViewChange(t *testing.T) {
 	cl := newPEATSCluster(t, 1, policy.AllowAll(),
 		WithViewChangeTimeout(200*time.Millisecond),
-		WithBatchSize(8), WithBatchDelay(time.Second))
+		WithBatchSize(2*maxWindow), WithBatchDelay(time.Second))
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 
@@ -273,15 +274,16 @@ func TestPipelinedWindowSurvivesViewChange(t *testing.T) {
 	if err := ts.Out(ctx, tuple.T(tuple.Str("WARM"))); err != nil {
 		t.Fatal(err)
 	}
-	// The primary proposes the window's first request alone (idle
-	// pipeline) and holds the other seven until that batch commits.
-	// With every hop taking 10ms the commit is three hops away when the
-	// proposal leaves, so the cut below lands with the seven unproposed.
+	// The primary proposes the first window alone (idle pipeline) and
+	// holds the other two, which do not fill a batch, until that batch
+	// commits. With every hop taking 10ms the commit is three hops away
+	// when the proposal leaves, so the cut below lands with both
+	// unproposed.
 	for _, id := range cl.IDs {
 		cl.Net.SetNodeFaults(id, 0, 10*time.Millisecond)
 	}
 
-	const depth = 8
+	const depth = 2*maxWindow + 8
 	handles := make([]*PendingSubmit, depth)
 	for i := range handles {
 		handles[i] = ts.SubmitAsync(peats.OutOp(tuple.T(tuple.Str("WIN"), tuple.Int(int64(i)))))
@@ -291,11 +293,11 @@ func TestPipelinedWindowSurvivesViewChange(t *testing.T) {
 	go func() { flushed <- ts.Flush(ctx) }()
 	for cl.Replicas[0].BatchesProposed() == proposed {
 		if ctx.Err() != nil {
-			t.Fatal("primary never proposed the window")
+			t.Fatal("primary never proposed the first window")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	cl.Net.Partition([]string{"r0"}) // halt the primary mid-window
+	cl.Net.Partition([]string{"r0"}) // halt the primary mid-flush
 	if got := cl.Replicas[0].BatchesProposed() - proposed; got != 1 {
 		t.Fatalf("primary proposed %d batches before the cut, want 1", got)
 	}
@@ -316,7 +318,7 @@ func TestPipelinedWindowSurvivesViewChange(t *testing.T) {
 		t.Errorf("%d WIN tuples, want %d (lost or double execution)", len(all), depth)
 	}
 	if v := cl.Replicas[1].View(); v == 0 {
-		t.Error("window completed without a view change")
+		t.Error("flush completed without a view change")
 	}
 }
 

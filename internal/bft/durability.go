@@ -109,6 +109,7 @@ func appendClientRecords(w *wire.Writer, clients map[string]*clientRecord, ids [
 		}
 		w.String(id)
 		w.Uvarint(rec.lastReqID)
+		w.Uvarint(rec.ops)
 		w.Bytes(rec.lastReply)
 	}
 }
@@ -120,14 +121,19 @@ func encodeClientRecords(clients map[string]*clientRecord, ids []string) []byte 
 	return w.Data()
 }
 
-// encodeFullClientTable encodes every record, sorted by id.
-func encodeFullClientTable(clients map[string]*clientRecord) []byte {
+// sortedClientIDs returns the table's client ids in encoding order.
+func sortedClientIDs(clients map[string]*clientRecord) []string {
 	ids := make([]string, 0, len(clients))
 	for id := range clients {
 		ids = append(ids, id)
 	}
 	sort.Strings(ids)
-	return encodeClientRecords(clients, ids)
+	return ids
+}
+
+// encodeFullClientTable encodes every record, sorted by id.
+func encodeFullClientTable(clients map[string]*clientRecord) []byte {
+	return encodeClientRecords(clients, sortedClientIDs(clients))
 }
 
 // readClientRecords decodes a client-record list from r.
@@ -139,7 +145,7 @@ func readClientRecords(r *wire.Reader) ([]clientUpdate, error) {
 	ups := make([]clientUpdate, 0, min(count, 1024))
 	for i := uint64(0); i < count; i++ {
 		u := clientUpdate{id: r.String()}
-		u.rec = clientRecord{lastReqID: r.Uvarint(), lastReply: r.Bytes()}
+		u.rec = clientRecord{lastReqID: r.Uvarint(), ops: r.Uvarint(), lastReply: r.Bytes()}
 		if err := r.Err(); err != nil {
 			return nil, err
 		}

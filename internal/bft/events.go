@@ -13,7 +13,7 @@ type EventType string
 
 const (
 	// EventBatchProposed fires at the primary when it broadcasts a
-	// batch proposal. N is the batch fill (request count).
+	// batch proposal. N is the batch fill (operation count).
 	EventBatchProposed EventType = "batch_proposed"
 	// EventBatchAccepted fires when a replica accepts a verified batch
 	// proposal into its log. N is the batch fill.

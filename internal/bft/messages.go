@@ -40,6 +40,7 @@ package bft
 import (
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 
 	"peats/internal/auth"
 	"peats/internal/wire"
@@ -102,7 +103,16 @@ func (t MsgType) String() string {
 	}
 }
 
-// Request is a client operation submitted for ordering.
+// Request is a client's submission for ordering: a window of one or
+// more operations under the consecutive request IDs ReqID, ReqID+1, ….
+// Op is the first operation and Tail the rest, in submission order. The
+// window is the unit at the client edge the way Batch is in the core:
+// it has one digest, one authenticator vector, one place in the primary's
+// queue and one Reply per phase, and replicas order, execute and
+// de-duplicate it whole — its operations run contiguously and in order
+// inside one batch, each succeeding or aborting on its own. A window of
+// one (Tail empty) encodes, digests and authenticates exactly as a
+// single-operation request always did.
 //
 // Auth is an optional authenticator vector: Auth[i] is the HMAC of the
 // request digest under the pairwise key the client shares with the i-th
@@ -111,7 +121,7 @@ func (t MsgType) String() string {
 // alone), closing the forgery window that hop-by-hop channel MACs leave
 // open. Requests without a vector fall back to first-hand verification
 // (the client broadcasts and retransmits). The vector is excluded from
-// the digest: the digest identifies the operation, not its transport
+// the digest: the digest identifies the operations, not their transport
 // proof.
 type Request struct {
 	Client string
@@ -124,19 +134,69 @@ type Request struct {
 	// replicas configured with a group identity drop requests addressed
 	// elsewhere. Empty in single-group deployments.
 	Group string
+	// Tail holds the window's operations after Op: Tail[i] runs under
+	// request ID ReqID+1+i. At most maxWindow-1 entries.
+	Tail [][]byte
 }
+
+// maxWindow bounds the operations one Request may carry (Op plus Tail).
+// Clients split longer flushes into several windows and decoders reject
+// anything larger, so a single frame cannot force unbounded work.
+const maxWindow = 64
+
+// ops returns the number of operations (and request IDs) in the window.
+func (r Request) ops() int { return 1 + len(r.Tail) }
+
+// opAt returns the window's i-th operation, the one under ReqID+i.
+func (r Request) opAt(i int) []byte {
+	if i == 0 {
+		return r.Op
+	}
+	return r.Tail[i-1]
+}
+
+// lastID returns the window's last request ID.
+func (r Request) lastID() uint64 { return r.ReqID + uint64(len(r.Tail)) }
 
 // Digest returns the canonical digest identifying the request. The
-// encoding is assembled in a stack buffer: digests are recomputed on
-// every hot-path hop, so this must not allocate for typical requests.
+// encoding is assembled in a stack buffer, or for a window that would
+// overflow it in one buffer sized up front: digests are recomputed on
+// every hot-path hop, so a typical one-op request must not allocate and
+// a window must not climb append's growth ladder.
 func (r Request) Digest() [32]byte {
 	var arr [192]byte
-	buf := appendRequest(arr[:0], r)
-	return auth.Digest(buf)
+	buf := arr[:0]
+	if n := r.encodedLen(); n > len(arr) {
+		buf = make([]byte, 0, n)
+	}
+	return auth.Digest(appendRequest(buf, r))
 }
 
+// encodedLen returns the length of the canonical encoding.
+func (r Request) encodedLen() int {
+	n := bytesLen(len(r.Client)) + uvarintLen(r.ReqID) + bytesLen(len(r.Op)) + bytesLen(len(r.Group))
+	if len(r.Tail) > 0 {
+		n += uvarintLen(uint64(len(r.Tail)))
+		for _, op := range r.Tail {
+			n += bytesLen(len(op))
+		}
+	}
+	return n
+}
+
+// uvarintLen returns the encoded length of x as a uvarint.
+func uvarintLen(x uint64) int { return (bits.Len64(x|1) + 6) / 7 }
+
+// bytesLen returns the encoded length of an n-byte length-prefixed
+// string.
+func bytesLen(n int) int { return uvarintLen(uint64(n)) + n }
+
 // appendRequest appends the canonical (digest) encoding: the
-// authenticator vector is deliberately not part of it.
+// authenticator vector is deliberately not part of it. The tail follows
+// the fields of a one-op request and is omitted when empty, so a window
+// of one keeps the encoding — and digest — it always had. The encoding
+// stays injective: every field before the tail is length-prefixed, so
+// what remains is either nothing or exactly one tail.
 func appendRequest(buf []byte, r Request) []byte {
 	buf = binary.AppendUvarint(buf, uint64(len(r.Client)))
 	buf = append(buf, r.Client...)
@@ -145,16 +205,35 @@ func appendRequest(buf []byte, r Request) []byte {
 	buf = append(buf, r.Op...)
 	buf = binary.AppendUvarint(buf, uint64(len(r.Group)))
 	buf = append(buf, r.Group...)
+	if len(r.Tail) > 0 {
+		buf = binary.AppendUvarint(buf, uint64(len(r.Tail)))
+		for _, op := range r.Tail {
+			buf = binary.AppendUvarint(buf, uint64(len(op)))
+			buf = append(buf, op...)
+		}
+	}
 	return buf
 }
 
 // encodeRequest is the canonical (digest) encoding as a fresh slice.
 func encodeRequest(r Request) []byte {
-	return appendRequest(make([]byte, 0, 64+len(r.Client)+len(r.Op)), r)
+	return appendRequest(make([]byte, 0, r.encodedLen()), r)
 }
 
-func decodeRequest(r *wire.Reader) Request {
-	return Request{Client: r.String(), ReqID: r.Uvarint(), Op: r.Bytes(), Group: r.String()}
+func decodeRequest(r *wire.Reader) (Request, error) {
+	req := Request{Client: r.String(), ReqID: r.Uvarint(), Op: r.Bytes(), Group: r.String()}
+	if r.Err() != nil || r.Remaining() == 0 {
+		return req, r.Err()
+	}
+	count := r.Uvarint()
+	if count == 0 || count > maxWindow-1 {
+		return Request{}, fmt.Errorf("request window of 1+%d operations", count)
+	}
+	req.Tail = make([][]byte, 0, count)
+	for i := uint64(0); i < count; i++ {
+		req.Tail = append(req.Tail, r.Bytes())
+	}
+	return req, r.Err()
 }
 
 // maxAuth bounds decoded authenticator vectors (one entry per replica).
@@ -172,11 +251,15 @@ func encodeRequestWire(w *wire.Writer, r Request) {
 
 func decodeRequestWire(r *wire.Reader) (Request, error) {
 	// The nested body is parsed in place: decodeRequest copies what it
-	// retains (Op, Client), so no defensive copy of the body is needed.
+	// retains (the operations, Client), so no defensive copy of the body
+	// is needed.
 	body := wire.NewReader(r.BytesView())
-	req := decodeRequest(body)
-	body.ExpectEOF()
-	if err := body.Err(); err != nil {
+	req, err := decodeRequest(body)
+	if err == nil {
+		body.ExpectEOF()
+		err = body.Err()
+	}
+	if err != nil {
 		return Request{}, fmt.Errorf("decode request: %w", err)
 	}
 	count := r.Uvarint()
@@ -195,6 +278,46 @@ func decodeRequestWire(r *wire.Reader) (Request, error) {
 	return req, nil
 }
 
+// encodeWindowResults is the Result a Reply carries for a window: the
+// operation's own result bytes for a window of one — what a one-op
+// request was always answered with — and a counted list otherwise.
+func encodeWindowResults(results [][]byte) []byte {
+	if len(results) == 1 {
+		return results[0]
+	}
+	size := uvarintLen(uint64(len(results)))
+	for _, res := range results {
+		size += bytesLen(len(res))
+	}
+	buf := binary.AppendUvarint(make([]byte, 0, size), uint64(len(results)))
+	for _, res := range results {
+		buf = binary.AppendUvarint(buf, uint64(len(res)))
+		buf = append(buf, res...)
+	}
+	return buf
+}
+
+// decodeWindowResults splits the Result of a reply to a window of
+// len(dst) operations into dst.
+func decodeWindowResults(dst [][]byte, raw []byte) error {
+	if len(dst) == 1 {
+		dst[0] = raw
+		return nil
+	}
+	r := wire.NewReader(raw)
+	if count := r.Uvarint(); r.Err() == nil && count != uint64(len(dst)) {
+		return fmt.Errorf("%d results for a window of %d", count, len(dst))
+	}
+	for i := range dst {
+		dst[i] = r.Bytes()
+	}
+	r.ExpectEOF()
+	if err := r.Err(); err != nil {
+		return fmt.Errorf("decode window results: %w", err)
+	}
+	return nil
+}
+
 // Batch is the unit of agreement and the primary's ordering proposal
 // (PBFT's pre-prepare): an ordered list of client requests under a
 // single digest and sequence number. See BatchDigest for the digest.
@@ -203,6 +326,16 @@ type Batch struct {
 	Seq    uint64
 	Digest [32]byte
 	Reqs   []Request
+}
+
+// ops returns the number of operations the batch orders: its requests'
+// windows summed (the no-op filler counts as one).
+func (b Batch) ops() int {
+	n := 0
+	for _, req := range b.Reqs {
+		n += req.ops()
+	}
+	return n
 }
 
 // BatchDigest returns the canonical digest of an ordered request list:
@@ -280,7 +413,10 @@ type Commit struct {
 	Replica string
 }
 
-// Reply carries one replica's execution result back to the client.
+// Reply carries one replica's execution result back to the client: one
+// Reply per Request per phase. ReqID is the request's (first) ID and
+// Result covers the whole window (see encodeWindowResults); clients vote
+// on the Result bytes, so a window is accepted or not as a unit.
 // ReadOnly marks results of the unordered read-only fast path; clients
 // never mix read-only and ordered replies in one vote (a lagging
 // replica's read-only reply must not help an ordered quorum).

@@ -59,9 +59,9 @@ func (r *Replica) initMetrics() {
 	m.batchesExecuted = reg.Counter("peats_bft_batches_executed_total",
 		"Committed batches applied to the service.", lbl)
 	m.requestsExecuted = reg.Counter("peats_bft_requests_executed_total",
-		"Client requests inside committed batches (including duplicates).", lbl)
+		"Client operations inside committed batches (including duplicates).", lbl)
 	m.batchFill = reg.Histogram("peats_bft_batch_fill",
-		"Requests per accepted batch.", metrics.SizeBuckets, lbl)
+		"Client operations per accepted batch.", metrics.SizeBuckets, lbl)
 	m.batchDelay = reg.Histogram("peats_bft_batch_delay_seconds",
 		"Queue time from first enqueued request to proposal, while primary.",
 		metrics.DurationBuckets, lbl)

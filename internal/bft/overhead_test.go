@@ -79,7 +79,7 @@ func BenchmarkMetricsOverhead(b *testing.B) {
 // uninstrumented one. Best of up to five attempts, since a single
 // testing.Benchmark sample can catch a scheduling hiccup.
 func TestMetricsOverheadBound(t *testing.T) {
-	if testing.Short() {
+	if testing.Short() || raceEnabled {
 		t.Skip("timing test")
 	}
 	best := 0.0

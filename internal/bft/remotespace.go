@@ -236,12 +236,14 @@ func (p *PendingSubmit) Results() ([]peats.Result, error) {
 
 // SubmitAsync buffers a submission for the next Flush instead of
 // invoking it immediately. Buffered submissions are pipelined: Flush
-// ships them under consecutive request IDs in one send, so the primary
-// packs them into a single agreement batch and k independent Submits
-// cost one protocol round instead of k.
+// ships them under consecutive request IDs as one request (one per
+// maxWindow of them), so k Submits cost one frame, one protocol round
+// and one reply per replica instead of k.
 //
-// The buffered submissions must be independent of each other — they
-// may execute in any relative order within the agreement batch.
+// Replicas execute a flush's submissions in submission order —
+// contiguously inside one agreement batch, up to maxWindow of them —
+// and each still succeeds or aborts on its own: a later submission sees
+// an earlier one's effects, but is not undone by its failure.
 // Validation errors surface on the returned handle at Flush time.
 func (s *RemoteSpace) SubmitAsync(ops ...peats.Op) *PendingSubmit {
 	p := &PendingSubmit{ops: ops}
@@ -268,7 +270,7 @@ func (s *RemoteSpace) Flush(ctx context.Context) error {
 	}
 	// Pipelined submissions always travel ordered: the read-only fast
 	// path answers from per-replica current state, which is pointless to
-	// batch (and mixing paths would break the single-batch packing).
+	// batch (and mixing paths would break the window).
 	s.c.AcceptTentative = s.TentativeWrites
 	payloads := make([][]byte, len(live))
 	for i, p := range live {

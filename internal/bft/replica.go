@@ -53,12 +53,13 @@ type ReplicaConfig struct {
 	// to commit before suspecting the primary (default 500ms). Each
 	// unsuccessful view change doubles it.
 	ViewChangeTimeout time.Duration
-	// BatchSize is the maximum number of client requests the primary
+	// BatchSize is the maximum number of client operations the primary
 	// proposes under one sequence number. At 1 (the default) every
 	// request is proposed the moment it arrives, as a batch of one.
 	// Above 1 the primary accumulates requests that arrive while earlier
 	// batches are in flight and proposes them together, amortizing the
-	// three-phase round.
+	// three-phase round. A request's window of operations never splits
+	// across batches: one larger than BatchSize is proposed alone.
 	BatchSize int
 	// BatchDelay bounds how long the primary holds a non-full batch
 	// open while earlier batches are in flight (default 2ms). It only
@@ -130,15 +131,31 @@ type earlyVotes struct {
 	commits  uint64
 }
 
-// clientRecord implements at-most-once execution per client. It is
-// replicated state (checkpoint digests cover it), so it must be a pure
-// function of the committed history: the view a request happened to
-// execute in is deliberately NOT recorded — replicas legitimately
-// execute the same batch in different views after view changes, and a
-// view stamp here would make their checkpoint digests dissent forever.
+// clientRecord implements at-most-once execution per client: the last
+// request executed — the window of request IDs ending at lastReqID — and
+// the Result it was answered with. It is replicated state (checkpoint
+// digests cover it), so it must be a pure function of the committed
+// history: the view a request happened to execute in is deliberately NOT
+// recorded — replicas legitimately execute the same batch in different
+// views after view changes, and a view stamp here would make their
+// checkpoint digests dissent forever.
 type clientRecord struct {
 	lastReqID uint64
+	ops       uint64 // request IDs the last request covered, ending at lastReqID
 	lastReply []byte
+}
+
+// stale reports whether the record shows req must not execute (again):
+// its window starts at or below the last ID executed.
+func (rec *clientRecord) stale(req Request) bool {
+	return rec != nil && req.ReqID <= rec.lastReqID
+}
+
+// holds reports whether a stale req is exactly the request the record
+// holds the reply to — a retransmission, answered by replaying it. Any
+// other stale request (older, or overlapping the window) gets silence.
+func (rec *clientRecord) holds(req Request) bool {
+	return req.lastID() == rec.lastReqID && uint64(req.ops()) == rec.ops
 }
 
 // tentSeg is the replica-layer residue of one executed unit: the client
@@ -388,12 +405,14 @@ func (r *Replica) misrouted(req Request) bool {
 }
 
 // attest signs the agreed result of a partition 2PC operation with the
-// replica's attestation key; it returns nil for every other request.
+// replica's attestation key; it returns nil for every other request
+// (vote certificates are collected one operation at a time, so a
+// multi-operation window is never attested).
 // Only committed results are ever attested — a tentative result is not
 // yet this group's agreed word (and 2PC operations are excluded from
 // tentative execution anyway).
-func (r *Replica) attest(op, result []byte) []byte {
-	if r.cfg.AttestKey == nil || !wire.IsPartitionOp(op) {
+func (r *Replica) attest(req Request, result []byte) []byte {
+	if r.cfg.AttestKey == nil || len(req.Tail) > 0 || !wire.IsPartitionOp(req.Op) {
 		return nil
 	}
 	return ed25519.Sign(r.cfg.AttestKey, wire.AttestPayload(r.cfg.Group, result))
@@ -732,14 +751,14 @@ func (r *Replica) onRequest(req Request) {
 		return // addressed to another group of a partitioned deployment
 	}
 	// At-most-once: answer duplicates from the client table.
-	if rec, ok := r.clients[req.Client]; ok && req.ReqID <= rec.lastReqID {
-		if req.ReqID == rec.lastReqID && rec.lastReply != nil {
+	if rec := r.clients[req.Client]; rec.stale(req) {
+		if rec.holds(req) && rec.lastReply != nil {
 			// Reply.View is only the client's primary-guess hint; the
 			// current view is the freshest value we can offer.
 			r.sendReply(req.Client, Reply{
 				View: r.view, Client: req.Client, ReqID: req.ReqID,
 				Replica: r.cfg.ID, Result: rec.lastReply,
-				Group: r.cfg.Group, Attest: r.attest(req.Op, rec.lastReply),
+				Group: r.cfg.Group, Attest: r.attest(req, rec.lastReply),
 			})
 		}
 		return
@@ -869,14 +888,16 @@ func (r *Replica) enqueue(req Request, digest [32]byte) {
 	r.queued[digest] = struct{}{}
 }
 
-// flushQueue proposes queued requests as batches. The primary proposes
-// immediately when a full batch is queued or when nothing it proposed
-// is still uncommitted (an idle pipeline must never wait); otherwise it
-// holds the partial batch open — accumulating requests that arrive
-// while earlier batches run the three phases — until the batch fills,
-// the pipeline drains, or the batch timer forces it out. Sequence
-// numbers are assigned without waiting for earlier batches to commit,
-// pipelined up to the water-mark window.
+// flushQueue proposes queued requests as batches, filled by operations:
+// a batch takes whole requests while their windows fit BatchSize, and
+// always the first (one larger than BatchSize goes alone). The primary
+// proposes immediately when a full batch is queued or when nothing it
+// proposed is still uncommitted (an idle pipeline must never wait);
+// otherwise it holds the partial batch open — accumulating requests
+// that arrive while earlier batches run the three phases — until the
+// batch fills, the pipeline drains, or the batch timer forces it out.
+// Sequence numbers are assigned without waiting for earlier batches to
+// commit, pipelined up to the water-mark window.
 func (r *Replica) flushQueue(force bool) {
 	if !r.isPrimary() || r.inViewChange {
 		return
@@ -887,15 +908,17 @@ func (r *Replica) flushQueue(force bool) {
 			r.logf("window full, holding %d queued requests", len(r.queue))
 			return // stabilize will flush once the window advances
 		}
-		if !force && len(r.queue) < max && r.seq >= r.executed+pipelineDepth {
+		n, ops := 0, 0
+		for n < len(r.queue) && (n == 0 || ops+r.queue[n].req.ops() <= max) {
+			ops += r.queue[n].req.ops()
+			n++
+		}
+		full := ops >= max || n < len(r.queue)
+		if !force && !full && r.seq >= r.executed+pipelineDepth {
 			r.armBatchTimer()
 			return
 		}
 		force = false
-		n := len(r.queue)
-		if n > max {
-			n = max
-		}
 		reqs := make([]Request, n)
 		ds := make([][32]byte, n)
 		for i, q := range r.queue[:n] {
@@ -925,7 +948,7 @@ func (r *Replica) flushQueue(force bool) {
 			r.m.batchDelay.Observe(now.Sub(r.queuedAt).Seconds())
 			r.queuedAt = now
 		}
-		r.emit(EventBatchProposed, b.Seq, n)
+		r.emit(EventBatchProposed, b.Seq, ops)
 		r.armTimer()
 		if pressured > r.cfg.F && len(r.queue) > 0 {
 			// More than f peer links are congested, so the proposal may
@@ -980,7 +1003,7 @@ func (r *Replica) verifiableReq(req Request, digest [32]byte) bool {
 	}
 	// Already-executed requests re-appear after view changes; the
 	// client table proves we saw them first-hand before.
-	if rec, ok := r.clients[req.Client]; ok && req.ReqID <= rec.lastReqID {
+	if r.clients[req.Client].stale(req) {
 		return true
 	}
 	return r.authValid(req, digest)
@@ -1111,8 +1134,9 @@ func (r *Replica) acceptBatch(b Batch, ds [][32]byte) {
 	e.early = nil
 	e.prepares |= r.voteBit(r.primary(b.View))
 	e.prepares |= r.voteBit(r.cfg.ID)
-	r.m.batchFill.Observe(float64(len(b.Reqs)))
-	r.emit(EventBatchAccepted, b.Seq, len(b.Reqs))
+	fill := b.ops()
+	r.m.batchFill.Observe(float64(fill))
+	r.emit(EventBatchAccepted, b.Seq, fill)
 	if b.Seq > r.seq {
 		r.seq = b.Seq
 	}
@@ -1243,8 +1267,9 @@ func (r *Replica) tryExecute() {
 		}
 		r.land(next, e)
 		r.m.batchesExecuted.Inc()
-		r.m.requestsExecuted.Add(uint64(len(e.batch.Reqs)))
-		r.emit(EventExecuted, next, len(e.batch.Reqs))
+		ops := e.batch.ops()
+		r.m.requestsExecuted.Add(uint64(ops))
+		r.emit(EventExecuted, next, ops)
 		e.executed = true
 		r.executed = next
 		if r.tentExecuted < r.executed {
@@ -1313,7 +1338,7 @@ func (r *Replica) tryTentative() {
 		r.tentSegs = append(r.tentSegs, seg)
 		r.tentExecuted = next
 		r.m.tentativeExecuted.Inc()
-		r.emit(EventTentativeExecuted, next, len(e.batch.Reqs))
+		r.emit(EventTentativeExecuted, next, e.batch.ops())
 		for i, req := range e.batch.Reqs {
 			if seg.results[i] != nil {
 				r.sendReply(req.Client, Reply{
@@ -1338,8 +1363,13 @@ func (r *Replica) stageable(b *Batch) bool {
 		return true
 	}
 	for _, req := range b.Reqs {
-		if !noop(req) && r.tentFilter.SkipTentative(req.Op) {
-			return false
+		if noop(req) {
+			continue
+		}
+		for i := range req.ops() {
+			if r.tentFilter.SkipTentative(req.opAt(i)) {
+				return false
+			}
 		}
 	}
 	return true
@@ -1358,16 +1388,17 @@ func (r *Replica) tentLookup(client string) *clientRecord {
 	return r.clients[client]
 }
 
-// executeUnit runs the batch at seq, in request order, and returns its
-// segment; this is the only place a request executes. A staged unit
-// (the caller checked stageable) runs into a fresh overlay unit; any
-// other runs on the service directly, which is only sound at commit
-// time (land). Either way the at-most-once bookkeeping lands in the
-// segment, not the committed client table: a request executes unless
-// the client's record shows it (or a later one) already did — possible
+// executeUnit runs the batch at seq, in request order and each
+// request's window in operation order, and returns its segment; this is
+// the only place an operation executes. A staged unit (the caller
+// checked stageable) runs into a fresh overlay unit; any other runs on
+// the service directly, which is only sound at commit time (land).
+// Either way the at-most-once bookkeeping lands in the segment, not the
+// committed client table: a request executes, whole, unless the client's
+// record shows its first ID (or a later one) already did — possible
 // across view changes, and within one batch from a Byzantine primary —
-// in which case the last reply is replayed, or nothing is said for an
-// older request.
+// in which case the held reply is replayed to an exact retransmission,
+// and nothing is said to an older or overlapping request.
 func (r *Replica) executeUnit(seq uint64, e *logEntry, staged bool) tentSeg {
 	b := e.batch
 	seg := tentSeg{
@@ -1389,19 +1420,22 @@ func (r *Replica) executeUnit(seq uint64, e *logEntry, staged bool) tentSeg {
 		if !ok {
 			rec = r.tentLookup(req.Client)
 		}
-		if rec != nil && req.ReqID <= rec.lastReqID {
-			if req.ReqID == rec.lastReqID {
+		if rec.stale(req) {
+			if rec.holds(req) {
 				seg.results[i] = rec.lastReply
 			}
 			continue
 		}
-		var result []byte
-		if seg.staged {
-			result = r.tentSvc.TentativeExecute(req.Client, req.Op)
-		} else {
-			result = r.service.Execute(req.Client, req.Op)
+		perOp := make([][]byte, req.ops())
+		for j := range perOp {
+			if seg.staged {
+				perOp[j] = r.tentSvc.TentativeExecute(req.Client, req.opAt(j))
+			} else {
+				perOp[j] = r.service.Execute(req.Client, req.opAt(j))
+			}
 		}
-		seg.clients[req.Client] = &clientRecord{lastReqID: req.ReqID, lastReply: result}
+		result := encodeWindowResults(perOp)
+		seg.clients[req.Client] = &clientRecord{lastReqID: req.lastID(), ops: uint64(len(perOp)), lastReply: result}
 		seg.results[i] = result
 	}
 	if seg.staged {
@@ -1468,7 +1502,7 @@ func (r *Replica) land(seq uint64, e *logEntry) {
 			r.sendReply(req.Client, Reply{
 				View: r.view, Client: req.Client, ReqID: req.ReqID,
 				Replica: r.cfg.ID, Result: seg.results[i],
-				Group: r.cfg.Group, Attest: r.attest(req.Op, seg.results[i]),
+				Group: r.cfg.Group, Attest: r.attest(req, seg.results[i]),
 			})
 		}
 	}
@@ -1554,44 +1588,26 @@ func (r *Replica) serveReadOnly(ro ReadOnly) {
 func (r *Replica) stateSnapshot() []byte {
 	w := wire.NewWriter()
 	w.Bytes(r.service.Snapshot())
-	w.Uvarint(uint64(len(r.clients)))
-	ids := make([]string, 0, len(r.clients))
-	for id := range r.clients {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	for _, id := range ids {
-		rec := r.clients[id]
-		w.String(id)
-		w.Uvarint(rec.lastReqID)
-		w.Bytes(rec.lastReply)
-	}
+	appendClientRecords(w, r.clients, sortedClientIDs(r.clients))
 	return w.Data()
 }
 
 func (r *Replica) restoreState(snapshot []byte) error {
 	rd := wire.NewReader(snapshot)
 	svc := rd.Bytes()
-	count := rd.Uvarint()
-	if count > maxBatch {
-		return fmt.Errorf("bft: snapshot with %d client records", count)
+	ups, err := readClientRecords(rd)
+	if err == nil {
+		rd.ExpectEOF()
+		err = rd.Err()
 	}
-	clients := make(map[string]*clientRecord, count)
-	for i := uint64(0); i < count; i++ {
-		id := rd.String()
-		clients[id] = &clientRecord{
-			lastReqID: rd.Uvarint(),
-			lastReply: rd.Bytes(),
-		}
-	}
-	rd.ExpectEOF()
-	if err := rd.Err(); err != nil {
+	if err != nil {
 		return fmt.Errorf("bft: decode snapshot: %w", err)
 	}
 	if err := r.service.Restore(svc); err != nil {
 		return err
 	}
-	r.clients = clients
+	r.clients = make(map[string]*clientRecord, len(ups))
+	applyClientUpdates(r.clients, ups)
 	return nil
 }
 
@@ -1820,7 +1836,7 @@ func (r *Replica) stabilize(seq uint64) {
 		}
 	}
 	for d, req := range r.pending {
-		if rec, ok := r.clients[req.Client]; ok && req.ReqID <= rec.lastReqID {
+		if r.clients[req.Client].stale(req) {
 			delete(r.pending, d)
 		}
 	}

@@ -30,9 +30,10 @@ func startTCPCluster(t *testing.T, f int, pol policy.Policy, clients []string) (
 
 	addrs := make(map[string]string)
 	var trs []*transport.TCP
+	krs := make(map[string]*auth.Keyring)
 	for _, id := range ids {
-		kr := auth.NewKeyringFromMaster(master, id, everyone)
-		tr, err := transport.NewTCP(id, "127.0.0.1:0", addrs, kr)
+		krs[id] = auth.NewKeyringFromMaster(master, id, everyone)
+		tr, err := transport.NewTCP(id, "127.0.0.1:0", addrs, krs[id])
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -50,6 +51,7 @@ func startTCPCluster(t *testing.T, f int, pol policy.Policy, clients []string) (
 			ID: id, Replicas: ids, F: f,
 			Transport: trs[i],
 			Service:   NewSpaceService(pol),
+			Keyring:   krs[id], // vouch for authenticated requests seen only in a batch
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -77,6 +79,50 @@ func tcpClient(t *testing.T, ids []string, addrs map[string]string, master []byt
 	}
 	t.Cleanup(func() { _ = tr.Close() })
 	return NewRemoteSpace(NewClient(tr, ids, f))
+}
+
+// TestFreshClientFirstFlush pipelines 32 submissions as the very first
+// thing a client does. Holding keys, it sends the flush to the primary
+// alone, and a replica can answer a client only over a connection the
+// client opened — so every backup's reply is lost, and the client's
+// retransmission broadcast has to recover the whole flush from the
+// replicas' client tables. They hold the last request's reply, which is
+// the whole window.
+func TestFreshClientFirstFlush(t *testing.T) {
+	ids, addrs, master := startTCPCluster(t, 1, policy.AllowAll(), []string{"fresh"})
+	kr := auth.NewKeyringFromMaster(master, "fresh", ids)
+	tr, err := transport.NewTCP("fresh", "127.0.0.1:0", addrs, kr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = tr.Close() })
+	cli := NewClient(tr, ids, 1)
+	cli.Keyring = kr // authenticator vector: first send to the primary alone
+	ts := NewRemoteSpace(cli)
+	// A few retransmission intervals, with room for a loaded machine.
+	ctx, cancel := context.WithTimeout(context.Background(), 50*cli.RetransmitInterval)
+	defer cancel()
+
+	const depth = 32
+	handles := make([]*PendingSubmit, depth)
+	for i := range handles {
+		handles[i] = ts.SubmitAsync(peats.OutOp(tuple.T(tuple.Str("FIRST"), tuple.Int(int64(i)))))
+	}
+	if err := ts.Flush(ctx); err != nil {
+		t.Fatalf("first flush of a fresh client: %v", err)
+	}
+	for i, h := range handles {
+		if _, err := h.Results(); err != nil {
+			t.Errorf("handle %d: %v", i, err)
+		}
+	}
+	all, err := ts.RdAll(ctx, tuple.T(tuple.Str("FIRST"), tuple.Any()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(all) != depth {
+		t.Errorf("%d FIRST tuples, want %d", len(all), depth)
+	}
 }
 
 func TestReplicatedOverTCP(t *testing.T) {

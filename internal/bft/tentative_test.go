@@ -3,6 +3,7 @@ package bft
 import (
 	"bytes"
 	"context"
+	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -635,25 +636,38 @@ func (d *drivenBackup) replies() []string {
 }
 
 // sequentialReplies is the reference the single execution loop is held
-// to: the requests applied one by one through plain Execute under the
-// at-most-once rule, rendered like drivenBackup.replies renders
-// committed replies.
+// to: the requests applied one by one — each window operation by
+// operation — through plain Execute under the at-most-once rule, with
+// its own copy of the window-result framing, rendered like
+// drivenBackup.replies renders committed replies.
 func sequentialReplies(svc Service, batches ...[]Request) []string {
 	type record struct {
-		last  uint64
-		reply []byte
+		first, last uint64
+		reply       []byte
 	}
 	table := make(map[string]record)
 	var out []string
 	for _, reqs := range batches {
 		for _, req := range reqs {
+			ops := append([][]byte{req.Op}, req.Tail...)
+			last := req.ReqID + uint64(len(ops)) - 1
 			rec, seen := table[req.Client]
 			switch {
-			case seen && req.ReqID < rec.last:
-				continue // older than the latest executed: silence
-			case seen && req.ReqID == rec.last:
+			case seen && req.ReqID == rec.first && last == rec.last:
+				// exact retransmission: the held reply again
+			case seen && req.ReqID <= rec.last:
+				continue // older than, or overlapping, the latest executed: silence
 			default:
-				rec = record{last: req.ReqID, reply: svc.Execute(req.Client, req.Op)}
+				rec = record{first: req.ReqID, last: last}
+				if len(ops) == 1 {
+					rec.reply = svc.Execute(req.Client, req.Op)
+				} else {
+					rec.reply = binary.AppendUvarint(nil, uint64(len(ops)))
+					for _, op := range ops {
+						res := svc.Execute(req.Client, op)
+						rec.reply = append(binary.AppendUvarint(rec.reply, uint64(len(res))), res...)
+					}
+				}
 				table[req.Client] = rec
 			}
 			out = append(out, fmt.Sprintf("%s/%d/false=%x", req.Client, req.ReqID, rec.reply))
@@ -675,7 +689,8 @@ func committedOnly(replies []string) []string {
 // TestSingleExecutionLoop drives the corners of the one executor — a
 // batch committed before it prepared, a 2PC-filtered batch queued
 // behind staged units, a Byzantine primary's batch naming one client
-// twice — through three replicas each: one that prepares every batch
+// twice, a batch of multi-operation windows (retransmitted, overlapping,
+// partly denied) — through three replicas each: one that prepares every batch
 // before it commits (staged at prepared, promoted at commit), one that
 // only ever sees commit quorums (executed inside land), and one whose
 // service has no extension at all (plain Execute at commit). All three
@@ -686,12 +701,20 @@ func TestSingleExecutionLoop(t *testing.T) {
 		return wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpOut, Entry: tuple.T(tuple.Str("U"), tuple.Int(v))})
 	}
 	inp := wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpInp, Template: tuple.T(tuple.Str("U"), tuple.Any())})
-	req := func(client string, id uint64, op []byte) Request {
-		return Request{Client: client, ReqID: id, Op: op}
+	req := func(client string, id uint64, op []byte, tail ...[]byte) Request {
+		return Request{Client: client, ReqID: id, Op: op, Tail: tail}
 	}
+	// Everything is allowed but writing a DENIED tuple.
+	rules := policy.AllowAll().Rules()
+	for i := range rules {
+		if rules[i].Op == policy.OpOut {
+			rules[i].When = policy.Not(policy.EntryField(0, tuple.Str("DENIED")))
+		}
+	}
+	denied := wire.EncodeSpaceOp(wire.SpaceOp{Op: policy.OpOut, Entry: tuple.T(tuple.Str("DENIED"))})
 	tp := newTestTopology("g0")
 	newSvc := func() *SpaceService {
-		svc := NewSpaceService(policy.AllowAll())
+		svc := NewSpaceService(policy.New(rules...))
 		svc.EnablePartition("g0", tp.dir)
 		return svc
 	}
@@ -736,6 +759,23 @@ func TestSingleExecutionLoop(t *testing.T) {
 			name: "batch naming one client twice",
 			batches: [][]Request{
 				{req("a", 1, out(1)), req("b", 1, out(2)), req("a", 2, inp), req("a", 1, out(1)), req("a", 2, inp)},
+			},
+			wantTentative: 4,
+		},
+		{
+			// In one batch: a three-operation window, its exact
+			// retransmission (all three results replayed), a window
+			// overlapping it (stale: silence), and a window whose middle
+			// operation the policy denies (the other two still execute).
+			name: "windows",
+			batches: [][]Request{
+				{
+					req("a", 1, out(1), out(2), inp),
+					req("a", 1, out(1), out(2), inp),
+					req("a", 3, out(3), out(4)),
+					req("b", 1, out(5), denied, inp),
+				},
+				{req("a", 4, inp, inp)},
 			},
 			wantTentative: 4,
 		},

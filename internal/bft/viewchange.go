@@ -458,9 +458,10 @@ func (r *Replica) installView(view uint64, batches []Batch) {
 		// retransmission (see onRequest for why replicas never forward).
 		if r.isPrimary() {
 			// Re-propose each client's carried-over requests in request-ID
-			// order: executing a pipelined window's 5 before its 3 would
-			// drop 3 for good (at-most-once keeps only the latest ID) and
-			// its client would wait forever. The digest only breaks ties
+			// order: executing the later of two pipelined requests first
+			// would drop the earlier for good (at-most-once keeps only the
+			// latest window) and its client would wait forever. The digest
+			// only breaks ties
 			// between conflicting requests a Byzantine client sent under
 			// one ID, so the order is the same on every run.
 			carried := make([]queuedReq, 0, len(r.pending))
@@ -468,7 +469,7 @@ func (r *Replica) installView(view uint64, batches []Batch) {
 				if _, ok := r.assigned[digest]; ok {
 					continue
 				}
-				if rec, ok := r.clients[req.Client]; ok && req.ReqID <= rec.lastReqID {
+				if r.clients[req.Client].stale(req) {
 					continue // already executed in an earlier view
 				}
 				carried = append(carried, queuedReq{req: req, digest: digest})

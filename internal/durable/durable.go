@@ -22,10 +22,12 @@
 package durable
 
 import (
+	"cmp"
 	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -433,7 +435,7 @@ func (db *DB) sortedStateLocked() []space.SeqTuple {
 	for seq, t := range db.mem {
 		out = append(out, space.SeqTuple{Seq: seq, T: t})
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Seq < out[j].Seq })
+	slices.SortFunc(out, func(a, b space.SeqTuple) int { return cmp.Compare(a.Seq, b.Seq) })
 	return out
 }
 

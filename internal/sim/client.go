@@ -39,7 +39,9 @@ func makeKeyrings(ids []string) map[string]*auth.Keyring {
 // goroutine and selects on real channels, so the simulator drives this
 // reimplementation of its voting rules (2f+1 byte-identical replies,
 // tentative and committed camps tallied separately) entirely from loop
-// events. One operation is in flight at a time, as the model requires.
+// events. One request — a window of one or more operations under
+// consecutive request IDs — is in flight at a time, as the model
+// requires, and is voted on as a unit.
 type client struct {
 	id       string
 	net      *Net
@@ -49,16 +51,17 @@ type client struct {
 	group    string
 	kr       *auth.Keyring
 
-	reqID    uint64
-	current  []byte // encoded op in flight; nil = idle
+	reqID    uint64 // last request ID issued: the in-flight window ends here
+	firstID  uint64 // first request ID of the in-flight window; 0 = idle
 	payload  []byte // marshalled request, rebroadcast on retransmit
 	certMode bool   // current request wants a vote certificate
 	camps    map[string]uint64
 	tcamps   map[string]uint64
 	retx     vclock.Timer
 
-	// onResult is invoked on the loop thread when the in-flight
-	// operation is accepted.
+	// onResult is invoked on the loop thread when the in-flight request
+	// is accepted, with its first ID and the voted Result (for a window
+	// of one, the operation's own result).
 	onResult func(reqID uint64, result []byte)
 
 	// Certificate mode (the InvokeCert acceptance rule): only committed
@@ -94,10 +97,11 @@ func newClient(id string, net *Net, loop *Loop, replicas []string, f int, krs ma
 	return c
 }
 
-// submit puts one operation in flight. The caller must be idle.
-func (c *client) submit(op []byte) {
+// submit puts one request in flight, carrying ops as its window. The
+// caller must be idle.
+func (c *client) submit(ops ...[]byte) {
 	c.certMode = false
-	c.start(op)
+	c.start(ops)
 }
 
 // submitCert puts one operation in flight under the certificate
@@ -105,13 +109,13 @@ func (c *client) submit(op []byte) {
 func (c *client) submitCert(op []byte) {
 	c.certMode = true
 	c.atts = make(map[string]map[string][]byte)
-	c.start(op)
+	c.start([][]byte{op})
 }
 
-func (c *client) start(op []byte) {
-	c.reqID++
-	c.current = op
-	req := bft.Request{Client: c.id, ReqID: c.reqID, Op: op, Group: c.group}
+func (c *client) start(ops [][]byte) {
+	c.firstID = c.reqID + 1
+	c.reqID += uint64(len(ops))
+	req := bft.Request{Client: c.id, ReqID: c.firstID, Op: ops[0], Tail: ops[1:], Group: c.group}
 	d := req.Digest()
 	req.Auth = make([][]byte, len(c.replicas))
 	for i, rid := range c.replicas {
@@ -140,19 +144,19 @@ func (c *client) broadcast() {
 }
 
 func (c *client) retransmit() {
-	if c.current == nil {
+	if c.idle() {
 		return
 	}
 	c.broadcast()
 	c.retx.Reset(retxInterval)
 }
 
-func (c *client) idle() bool { return c.current == nil }
+func (c *client) idle() bool { return c.firstID == 0 }
 
 // deliver processes one inbound message: replies vote per the client
 // acceptance rule, everything else is ignored.
 func (c *client) deliver(m transport.Inbound) {
-	if c.current == nil {
+	if c.idle() {
 		return
 	}
 	msg, err := bft.Unmarshal(m.Payload)
@@ -160,7 +164,7 @@ func (c *client) deliver(m transport.Inbound) {
 		return // Byzantine mutation or noise
 	}
 	rep, ok := msg.(bft.Reply)
-	if !ok || rep.Replica != m.From || rep.Client != c.id || rep.ReqID != c.reqID || rep.ReadOnly {
+	if !ok || rep.Replica != m.From || rep.Client != c.id || rep.ReqID != c.firstID || rep.ReadOnly {
 		return
 	}
 	idx, ok := c.indexes[rep.Replica]
@@ -177,16 +181,24 @@ func (c *client) deliver(m transport.Inbound) {
 	}
 	camps[string(rep.Result)] |= 1 << uint(idx)
 	if bits.OnesCount64(camps[string(rep.Result)]) >= 2*c.f+1 {
-		result := rep.Result
-		id := c.reqID
-		c.current = nil
-		c.payload = nil
-		c.retx.Stop()
-		c.Acked[id] = true
+		id := c.finish()
 		if c.onResult != nil {
-			c.onResult(id, result)
+			c.onResult(id, rep.Result)
 		}
 	}
+}
+
+// finish retires the accepted in-flight request, marking every request
+// ID of its window acknowledged, and returns its first ID.
+func (c *client) finish() uint64 {
+	first := c.firstID
+	for id := first; id <= c.reqID; id++ {
+		c.Acked[id] = true
+	}
+	c.firstID = 0
+	c.payload = nil
+	c.retx.Stop()
+	return first
 }
 
 // deliverCert is the certificate-mode half of deliver: committed
@@ -220,14 +232,9 @@ func (c *client) deliverCert(rep bft.Reply) {
 	for _, id := range ids {
 		cert.Atts = append(cert.Atts, wire.Attestation{Replica: id, Sig: camp[id]})
 	}
-	result := rep.Result
-	id := c.reqID
-	c.current = nil
-	c.payload = nil
-	c.retx.Stop()
-	c.Acked[id] = true
+	id := c.finish()
 	if c.onCert != nil {
-		c.onCert(id, result, cert)
+		c.onCert(id, rep.Result, cert)
 	}
 }
 

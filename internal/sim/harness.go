@@ -216,9 +216,12 @@ func (h *harness) converged() bool {
 
 // workload is one client's scripted op sequence: unique out-tuples
 // keyed (client, reqID), so the at-most-once invariant is a tuple
-// count.
+// count per request ID. The ops go out as requests of 1–8 operations
+// (seeded), so windows both fit the replicas' batch size of 4 and
+// exceed it.
 type workload struct {
 	c    *client
+	rng  *rand.Rand
 	ops  int
 	next int
 }
@@ -235,9 +238,12 @@ func (w *workload) pump() {
 	if w.next > w.ops || !w.c.idle() {
 		return
 	}
-	n := w.next
-	w.next++
-	w.c.submit(outOp(w.c.id, n))
+	window := make([][]byte, min(1+w.rng.Intn(8), w.ops-w.next+1))
+	for i := range window {
+		window[i] = outOp(w.c.id, w.next+i)
+	}
+	w.next += len(window)
+	w.c.submit(window...)
 }
 
 func (w *workload) done() bool { return w.next > w.ops && w.c.idle() }
@@ -298,7 +304,7 @@ func runSingle(sched Schedule) Result {
 	var loads []*workload
 	for i := 0; i < 2; i++ {
 		c := newClient(fmt.Sprintf("c%d", i), h.net, loop, h.replicaIDs(), 1, h.krs)
-		w := &workload{c: c, ops: 6, next: 1}
+		w := &workload{c: c, rng: rand.New(rand.NewSource(sched.Seed<<8 + int64(i))), ops: 24, next: 1}
 		c.onResult = func(uint64, []byte) { w.pump() }
 		loads = append(loads, w)
 		start := time.Duration(10+5*i) * time.Millisecond
