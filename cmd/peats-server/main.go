@@ -230,7 +230,7 @@ func run(cfg serverConfig) error {
 		db, err = durable.Open(durable.Options{
 			Dir:  cfg.dataDir,
 			Sync: durable.SyncPolicy(cfg.fsync),
-			// The replica compacts at full checkpoints itself.
+			// The replica offers the log for compaction at checkpoints.
 			AutoCompactBytes: -1,
 		})
 		if err != nil {

@@ -1,6 +1,7 @@
 package bft
 
 import (
+	"crypto/sha256"
 	"fmt"
 	"sort"
 
@@ -39,9 +40,10 @@ type DeltaSnapshotter interface {
 
 // DurableService is an optional Service extension for engines that
 // persist state locally (package durable): the replica frames each
-// agreement batch as one atomic unit in the write-ahead log, compacts
-// the log at full checkpoints, and recovers executed position and
-// client table from the data directory at construction.
+// agreement batch as one atomic unit in the write-ahead log, offers the
+// log for compaction at every checkpoint boundary, and recovers
+// executed position and client table from the data directory at
+// construction.
 type DurableService interface {
 	// Durable reports whether persistence is actually wired (the
 	// methods below are no-ops otherwise).
@@ -52,8 +54,12 @@ type DurableService interface {
 	// extra blob (its client-table updates), making the batch durable
 	// per the engine's fsync policy.
 	CommitUnit(extra []byte)
-	// CompactTo snapshots the full state as of agreement seq (with the
-	// full client table as extra) and prunes the log behind it.
+	// CompactTo marks a checkpoint boundary at agreement seq: the engine
+	// may fold its log into a snapshot of the full state as of seq (with
+	// the full client table as extra) and prune the log behind it. It
+	// does so only when the log has outgrown the previous snapshot — a
+	// local decision, unrelated to the checkpoint's mode, that no other
+	// replica needs to share.
 	CompactTo(seq uint64, extra []byte) error
 	// BeginStateLoad enters load mode for a state-transfer install:
 	// mutations keep the engine current but are not logged.
@@ -81,13 +87,55 @@ var cpChainDomain = []byte{0xff, 0x01, 'p', 'e', 'a', 't', 's', '-', 'c', 'p', '
 // commits to the base snapshot and every delta since — which is what
 // lets a state-transfer receiver verify a base-plus-deltas response
 // against the checkpoint quorum digest alone.
-func chainCheckpointDigest(prev [32]byte, blob []byte) [32]byte {
-	buf := make([]byte, 0, len(cpChainDomain)+32+len(blob))
-	buf = append(buf, cpChainDomain...)
-	buf = append(buf, prev[:]...)
-	buf = append(buf, blob...)
-	return auth.Digest(buf)
+//
+// The blob streams into the hash; nothing is copied.
+func chainCheckpointDigest(prev [32]byte, blob []byte) (d [32]byte) {
+	h := sha256.New()
+	h.Write(cpChainDomain)
+	h.Write(prev[:])
+	h.Write(blob)
+	h.Sum(d[:0])
+	return d
 }
+
+// cpHead is the head of a checkpoint chain, as a CHECKPOINT announces
+// it: the chained digest, the byte length of the full snapshot the
+// chain is based on, and the weight of the delta blobs chained since.
+// The two lengths are what the re-base rule reads, so replicas that
+// hold the same head take the same decision at every grid point — and
+// a replica that lost its chain can take the whole head, rule inputs
+// included, from the votes of others. Votes match on all three.
+type cpHead struct {
+	digest   [32]byte
+	baseLen  uint64
+	chainLen uint64
+}
+
+// minDeltaShare is the least a chained delta weighs, as a share of its
+// base: 1/1024, so a chain of tiny deltas is still re-based by its
+// 1024th (an honest chain pack stays well under maxChainDeltas).
+const minDeltaShare = 1024
+
+// fullHead is the head a full checkpoint publishes: a chain of nothing
+// based on snap.
+func fullHead(snap []byte) cpHead {
+	return cpHead{digest: auth.Digest(snap), baseLen: uint64(len(snap))}
+}
+
+// extend chains one delta blob onto the head.
+func (h cpHead) extend(blob []byte) cpHead {
+	return cpHead{
+		digest:   chainCheckpointDigest(h.digest, blob),
+		baseLen:  h.baseLen,
+		chainLen: h.chainLen + max(uint64(len(blob)), h.baseLen/minDeltaShare),
+	}
+}
+
+// outgrown reports whether the chain weighs as much as its base: from
+// here on, shipping or replaying base plus chain costs more than twice
+// a fresh snapshot would, and taking that snapshot has been paid for by
+// as many bytes of change.
+func (h cpHead) outgrown() bool { return h.chainLen >= h.baseLen }
 
 // ---- Client-table encoding ----
 
@@ -240,8 +288,8 @@ const (
 	statePackChain = 2
 )
 
-// maxChainDeltas bounds decoded chains (CompactEvery checkpoints per
-// chain in honest responses).
+// maxChainDeltas bounds decoded chains (an honest one is re-based by
+// the first grid point after its minDeltaShare-th delta).
 const maxChainDeltas = 1 << 12
 
 // seqDelta is one chained checkpoint delta.
@@ -257,13 +305,13 @@ type chainPack struct {
 	cps     []seqDelta
 }
 
-// digest folds the chain into the digest the quorum must have voted.
-func (c chainPack) digest() [32]byte {
-	d := auth.Digest(c.base)
+// head folds the chain into the head the quorum must have voted.
+func (c chainPack) head() cpHead {
+	h := fullHead(c.base)
 	for _, cd := range c.cps {
-		d = chainCheckpointDigest(d, cd.delta)
+		h = h.extend(cd.delta)
 	}
-	return d
+	return h
 }
 
 func encodeFullPack(snap []byte) []byte {

@@ -125,7 +125,10 @@ func TestDurableReplicaKilledMidLoadRecoversToStableCheckpointDigest(t *testing.
 // recovered to the same state digest at the same sequence, (b) a fresh
 // cluster over the recovered services serves reads of the old data and
 // accepts new writes, and (c) compaction kept every data directory's
-// segment count and size bounded during the sustained load.
+// segment count and size bounded during the sustained load — by folding
+// the log whenever it outgrew the snapshot, at whichever checkpoint
+// boundary that was (the grid of CompactEvery 2 only decides where the
+// digest chain may re-base).
 func TestDurableClusterRestartServesAndBoundsDisk(t *testing.T) {
 	cl, dbs, dirs := durableCluster(t, 1, 2,
 		func(o *durable.Options) { o.SegmentBytes = 1 << 12 },
@@ -164,9 +167,9 @@ func TestDurableClusterRestartServesAndBoundsDisk(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	// Compaction at full checkpoints must have pruned dead segments:
-	// 200 mutations at 4KiB segments without pruning would pile up
-	// many, while the live set is ~100 small tuples.
+	// Compaction at checkpoint boundaries must have pruned dead
+	// segments: 200 mutations at 4KiB segments without pruning would
+	// pile up many, while the live set is ~100 small tuples.
 	for i, db := range dbs {
 		segs, bytes, err := db.DiskUsage()
 		if err != nil {
@@ -280,12 +283,18 @@ func TestDeltaCheckpointsEquivalentToFullRestores(t *testing.T) {
 // TestChainStateTransferCatchesUpLaggard pins the base-plus-deltas
 // state transfer: a replica partitioned across several delta
 // checkpoints (no full checkpoint in between would be available at the
-// delta sequences) heals and catches up to the cluster's state.
+// delta sequences) heals and catches up to the cluster's state from a
+// chain pack — the base the group started from plus every delta since.
 func TestChainStateTransferCatchesUpLaggard(t *testing.T) {
 	cl, _, _ := durableCluster(t, 1, 2, nil,
-		WithCheckpointInterval(4), WithCompactEvery(8), // full only every 32 seqs
+		WithCheckpointInterval(4), WithCompactEvery(8), // the first grid point is seq 32
 		WithViewChangeTimeout(time.Hour))
-	defer cl.Stop()
+	stopped := false
+	defer func() {
+		if !stopped {
+			cl.Stop()
+		}
+	}()
 	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
 	defer cancel()
 
@@ -304,11 +313,20 @@ func TestChainStateTransferCatchesUpLaggard(t *testing.T) {
 	}
 	deadline := time.Now().Add(20 * time.Second)
 	r3 := cl.Replicas[3]
-	for time.Now().Before(deadline) {
-		if r3.Executed() >= 36 {
-			return
+	for r3.Executed() < 36 {
+		if time.Now().After(deadline) {
+			t.Fatalf("r3 never caught up through chain state transfer: executed=%d", r3.Executed())
 		}
-		time.Sleep(50 * time.Millisecond)
+		time.Sleep(10 * time.Millisecond)
 	}
-	t.Fatalf("r3 never caught up through chain state transfer: executed=%d", r3.Executed())
+	cl.Stop()
+	stopped = true
+	// What it installed was a chain, which it can now serve in turn: a
+	// base older than its head and the deltas between them.
+	if r3.cpBase == nil || r3.cpBaseSeq >= r3.cpSeq || len(r3.cpDeltas) == 0 {
+		t.Fatalf("r3 holds no chain: base at %d, head at %d, %d deltas", r3.cpBaseSeq, r3.cpSeq, len(r3.cpDeltas))
+	}
+	if _, ok := r3.chainPackFor(r3.cpSeq); !ok {
+		t.Fatal("r3 cannot serve the chain it installed")
+	}
 }

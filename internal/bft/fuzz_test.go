@@ -24,7 +24,8 @@ func FuzzUnmarshal(f *testing.F) {
 		Prepare{View: 1, Seq: 9, Digest: d, Replica: "r2"},
 		Commit{View: 1, Seq: 9, Digest: d, Replica: "r0"},
 		Reply{View: 1, Client: "c1", ReqID: 7, Replica: "r3", Result: []byte{9}, Tentative: true, Group: "g", Attest: []byte{1}},
-		Checkpoint{Seq: 128, View: 1, Digest: d, Replica: "r1"},
+		Checkpoint{Seq: 128, View: 1, Digest: d, BaseLen: 70000, ChainLen: 300, Replica: "r1"},
+		Checkpoint{Seq: 192, View: 1, Digest: d, BaseLen: maxCheckpointLen, Replica: "r1"},
 		ViewChange{NewView: 2, LastStable: 64, Prepared: []Batch{batch}, Replica: "r2"},
 		NewView{View: 2, Batches: []Batch{batch}, Replica: "r2"},
 		StateRequest{Seq: 128, Replica: "r3"},

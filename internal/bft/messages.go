@@ -455,16 +455,29 @@ type ReadOnly struct {
 	Op     []byte
 }
 
-// Checkpoint announces a replica's state digest at a checkpoint. View
-// is the view the sender was operating in: a quorum of matching
+// Checkpoint announces the head of a replica's checkpoint chain at a
+// checkpoint: the state digest — of the full snapshot when the
+// checkpoint re-based the chain, chained over the base snapshot and
+// every delta since otherwise — with BaseLen, the byte length of that
+// base snapshot, and ChainLen, the weight of the deltas chained on it
+// (0 at a re-base). The lengths are the inputs of the re-base rule;
+// votes match only when all three agree, so a replica that takes its
+// head from f+1 matching votes also takes the rule's inputs from them.
+// View is the view the sender was operating in: a quorum of matching
 // checkpoints doubles as Byzantine-robust evidence of the view the
 // group is actively working in (see syncViewWithQuorum).
 type Checkpoint struct {
-	Seq     uint64
-	View    uint64
-	Digest  [32]byte
-	Replica string
+	Seq      uint64
+	View     uint64
+	Digest   [32]byte
+	BaseLen  uint64
+	ChainLen uint64
+	Replica  string
 }
+
+// maxCheckpointLen bounds the lengths a CHECKPOINT may announce, so
+// adding a delta's weight to an announced chain length cannot wrap.
+const maxCheckpointLen = 1 << 62
 
 // ViewChange asks to install view NewView. Prepared carries the
 // batches the sender prepared above its stable checkpoint.
@@ -559,6 +572,8 @@ func Marshal(msg any) ([]byte, error) {
 		w.Uvarint(m.Seq)
 		w.Uvarint(m.View)
 		w.Bytes(m.Digest[:])
+		w.Uvarint(m.BaseLen)
+		w.Uvarint(m.ChainLen)
 		w.String(m.Replica)
 	case ViewChange:
 		w.Byte(byte(MsgViewChange))
@@ -638,6 +653,10 @@ func Unmarshal(b []byte) (any, error) {
 	case MsgCheckpoint:
 		cp := Checkpoint{Seq: r.Uvarint(), View: r.Uvarint()}
 		copy(cp.Digest[:], r.BytesView())
+		cp.BaseLen, cp.ChainLen = r.Uvarint(), r.Uvarint()
+		if cp.BaseLen > maxCheckpointLen || cp.ChainLen > maxCheckpointLen {
+			return nil, fmt.Errorf("bft: checkpoint announcing lengths %d, %d", cp.BaseLen, cp.ChainLen)
+		}
 		cp.Replica = r.String()
 		msg = cp
 	case MsgViewChange:

@@ -32,6 +32,7 @@ func TestMessageRoundTrips(t *testing.T) {
 		Reply{View: 1, Client: "c1", ReqID: 8, Replica: "r3", Result: []byte{9}, ReadOnly: true},
 		ReadOnly{Client: "c1", ReqID: 9, Op: []byte{7}},
 		Checkpoint{Seq: 128, Digest: d, Replica: "r1"},
+		Checkpoint{Seq: 192, View: 3, Digest: d, BaseLen: 1 << 20, ChainLen: 4097, Replica: "r1"},
 		ViewChange{NewView: 2, LastStable: 64,
 			Prepared: []Batch{{View: 1, Seq: 65, Digest: BatchDigest(batch), Reqs: batch}},
 			Replica:  "r2"},
@@ -292,5 +293,56 @@ func TestRequestEncodedLenExact(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestCheckpointGolden pins the CHECKPOINT frame: the chain head's two
+// lengths travel beside the digest, before the sender.
+func TestCheckpointGolden(t *testing.T) {
+	var d [32]byte
+	for i := range d {
+		d[i] = byte(i)
+	}
+	cp := Checkpoint{Seq: 256, View: 2, Digest: d, BaseLen: 70000, ChainLen: 300, Replica: "r1"}
+	enc, err := Marshal(cp)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := []byte{byte(MsgCheckpoint), 0x80, 0x02, 0x02, 32}
+	want = append(want, d[:]...)
+	want = append(want, 0xf0, 0xa2, 0x04, 0xac, 0x02, 2, 'r', '1')
+	if !bytes.Equal(enc, want) {
+		t.Fatalf("CHECKPOINT frame\n got  %x\n want %x", enc, want)
+	}
+	dec, err := Unmarshal(enc)
+	if err != nil || dec != any(cp) {
+		t.Fatalf("decoded %+v, %v", dec, err)
+	}
+}
+
+// TestCheckpointRejectsGarbage: a CHECKPOINT with bytes after the
+// sender, without its lengths (the frame before they existed), or with
+// lengths no snapshot could have, is refused.
+func TestCheckpointRejectsGarbage(t *testing.T) {
+	var d [32]byte
+	good, _ := Marshal(Checkpoint{Seq: 8, View: 1, Digest: d, BaseLen: 9, ChainLen: 1, Replica: "r1"})
+	head := append([]byte{byte(MsgCheckpoint), 8, 1, 32}, d[:]...)
+	overflow := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x01} // 2^64-1
+	wrapped := []byte{0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0xff, 0x02}  // past 64 bits
+	cases := map[string][]byte{
+		"trailing byte":     append(bytes.Clone(good), 0),
+		"no lengths":        append(bytes.Clone(head), 2, 'r', '1'),
+		"base too long":     append(append(append(bytes.Clone(head), overflow...), 1), 2, 'r', '1'),
+		"chain too long":    append(append(append(bytes.Clone(head), 1), overflow...), 2, 'r', '1'),
+		"varint past 64bit": append(append(append(bytes.Clone(head), wrapped...), 1), 2, 'r', '1'),
+		"truncated":         good[:len(good)-4],
+	}
+	if _, err := Unmarshal(good); err != nil {
+		t.Fatalf("well-formed frame rejected: %v", err)
+	}
+	for name, frame := range cases {
+		if msg, err := Unmarshal(frame); err == nil {
+			t.Errorf("%s: accepted as %+v", name, msg)
+		}
 	}
 }

@@ -1,7 +1,9 @@
 package bft
 
 import (
+	"bytes"
 	"crypto/ed25519"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"log"
@@ -36,14 +38,17 @@ type ReplicaConfig struct {
 	// CheckpointInterval is the number of executions between
 	// checkpoints (default 64).
 	CheckpointInterval uint64
-	// CompactEvery is the number of checkpoints between full state
-	// snapshots (default 4). When the service supports incremental
-	// checkpoints (DeltaSnapshotter), only one checkpoint in
-	// CompactEvery serializes the whole state — re-basing the chained
-	// checkpoint digest and, on a durable service, compacting the
-	// write-ahead log; the checkpoints between publish deltas digested
-	// over the chain, costing O(changes) instead of O(space). 1 makes
-	// every checkpoint a full snapshot (the pre-delta behaviour).
+	// CompactEvery spaces the grid of sequence numbers at which a full
+	// state snapshot may be taken: every CompactEvery-th checkpoint
+	// (default 4). When the service supports incremental checkpoints
+	// (DeltaSnapshotter), a checkpoint publishes a delta digested over a
+	// chain — O(changes) instead of O(space) — and a grid point
+	// serializes the whole state, re-basing the chain, only once the
+	// deltas chained since the last full snapshot weigh as much as that
+	// snapshot. Every replica reads those weights off the same bytes, so
+	// all pick the same mode. 1 makes every checkpoint a full snapshot
+	// (the pre-delta behaviour). Compacting a durable service's log is a
+	// separate, local decision (DurableService.CompactTo).
 	CompactEvery int
 	// KeepCheckpointHistory retains every checkpoint digest this
 	// replica publishes, for tests and diagnostics (CheckpointDigests).
@@ -215,15 +220,21 @@ type Replica struct {
 	// view installs cannot destroy it; GC'd only by stabilize.
 	prepCerts map[uint64]Batch
 
-	// Incremental-checkpoint chain state. cpBase holds the last full
-	// stateSnapshot (the chain's base) and cpDeltas the delta blob of
-	// every chained checkpoint since, so the replica can serve
-	// verifiable base-plus-deltas state transfers; cpDigest is the
-	// running chain digest. dirtyClients tracks the client records
-	// touched since the last checkpoint — the client-table half of a
-	// delta. durable is non-nil when the service persists state.
+	// Incremental-checkpoint chain state. cpHead is the head of the
+	// chain at cpSeq, the last checkpoint boundary executed (where the
+	// service journal was last cut); cpHave is false while the replica
+	// has none — after a disk recovery or a broken journal — and waits
+	// to take one from the votes of others (adoptHead). cpBase holds the
+	// last full stateSnapshot (the chain's base) and cpDeltas the delta
+	// blob of every chained checkpoint since, so the replica can serve
+	// verifiable base-plus-deltas state transfers; a replica that
+	// adopted its head holds neither until the next re-base.
+	// dirtyClients tracks the client records touched since the last
+	// checkpoint — the client-table half of a delta. durable is non-nil
+	// when the service persists state.
 	cpHave       bool
-	cpDigest     [32]byte
+	cpHead       cpHead
+	cpSeq        uint64
 	cpBase       []byte
 	cpBaseSeq    uint64
 	cpDeltas     map[uint64][]byte
@@ -391,6 +402,12 @@ func NewReplica(cfg ReplicaConfig) (*Replica, error) {
 	if tf, ok := cfg.Service.(TentativeFilter); ok {
 		r.tentFilter = tf
 	}
+	if _, ok := cfg.Service.(DeltaSnapshotter); ok && r.executed == 0 && cfg.CompactEvery > 1 {
+		// A replica that starts from nothing starts its chain there:
+		// every such replica holds the same state, so all hold this head.
+		snap := r.stateSnapshot()
+		r.rebase(0, snap, fullHead(snap))
+	}
 	r.tentExecuted = r.executed
 	r.lowWaterMirror.Store(r.lowWater)
 	r.initMetrics()
@@ -423,10 +440,10 @@ func (r *Replica) attest(req Request, result []byte) []byte {
 // executed/assigned sequence and local stable checkpoint (everything
 // at or below it is already applied), and the client table is the
 // recovery snapshot's table with every recovered unit's updates folded
-// forward — so at-most-once semantics survive the restart. The first
-// checkpoint after a recovery is always a full snapshot (no chain base
-// exists), which re-joins the cluster's digest chain at the next
-// compaction boundary.
+// forward — so at-most-once semantics survive the restart. The chain
+// head is not on disk: the replica re-joins the cluster's digest chain
+// by adopting the head the others announce at its first checkpoint
+// boundary (adoptHead).
 func (r *Replica) initDurable() error {
 	d, ok := r.cfg.Service.(DurableService)
 	if !ok || !d.Durable() {
@@ -1586,8 +1603,13 @@ func (r *Replica) serveReadOnly(ro ReadOnly) {
 // client table is part of replicated state: without it a restored
 // replica would re-execute old requests).
 func (r *Replica) stateSnapshot() []byte {
-	w := wire.NewWriter()
-	w.Bytes(r.service.Snapshot())
+	svc := r.service.Snapshot()
+	size := len(svc) + 2*binary.MaxVarintLen64
+	for id, rec := range r.clients {
+		size += len(id) + len(rec.lastReply) + 4*binary.MaxVarintLen64
+	}
+	w := wire.NewWriterSize(size) // the one copy of the service's bytes
+	w.Bytes(svc)
 	appendClientRecords(w, r.clients, sortedClientIDs(r.clients))
 	return w.Data()
 }
@@ -1611,70 +1633,103 @@ func (r *Replica) restoreState(snapshot []byte) error {
 	return nil
 }
 
-// makeCheckpoint publishes the state digest at seq. With a
-// delta-capable service, only one checkpoint in CompactEvery pays for
-// a full stateSnapshot (re-basing the digest chain, and compacting the
-// durable engine's log); the checkpoints between digest the interval's
-// delta blob over the chain — O(changes this interval), however large
-// the resident space is.
+// cpMode is what a replica does at a checkpoint boundary.
+type cpMode int
+
+const (
+	cpFull  cpMode = iota // snapshot the whole state and re-base the chain on it
+	cpDelta               // chain the interval's delta blob onto the head
+	cpAwait               // no head to chain on: publish nothing, adopt one
+)
+
+// makeCheckpoint handles the checkpoint boundary at seq: it publishes
+// the head of the digest chain there — extended by the interval's delta
+// blob, O(changes this interval) however large the resident space is,
+// or re-based on a full stateSnapshot when tryDeltaCheckpoint says one
+// is due — unless the replica has no head to extend, in which case it
+// stays silent and adopts the head the others announce. On a durable
+// service every boundary is also where the log may be compacted.
 func (r *Replica) makeCheckpoint(seq uint64) {
-	var digest [32]byte
-	full := 0
-	if blob, ok := r.tryDeltaCheckpoint(seq); ok {
-		digest = chainCheckpointDigest(r.cpDigest, blob)
-		r.cpDeltas[seq] = blob
-		r.cpDigest = digest
+	blob, mode := r.tryDeltaCheckpoint(seq)
+	r.cpSeq = seq
+	switch mode {
+	case cpDelta:
+		r.cpHead = r.cpHead.extend(blob)
+		if r.cpBase != nil {
+			r.cpDeltas[seq] = blob
+		}
 		r.m.checkpointsDelta.Inc()
-	} else {
-		full = 1
+	case cpFull:
 		snap := r.stateSnapshot()
 		r.snapshots[seq] = snap
-		digest = auth.Digest(snap)
-		r.rebase(seq, snap, digest)
-		if r.durable != nil {
-			if err := r.durable.CompactTo(seq, encodeFullClientTable(r.clients)); err != nil {
-				r.logf("compact at %d: %v", seq, err)
-			}
-		}
-	}
-	if r.cfg.KeepCheckpointHistory {
-		r.cpHistory[seq] = digest
-	}
-	if full == 1 {
+		r.rebase(seq, snap, fullHead(snap))
 		r.m.checkpointsFull.Inc()
 	}
+	if r.durable != nil {
+		if err := r.durable.CompactTo(seq, encodeFullClientTable(r.clients)); err != nil {
+			r.logf("compact at %d: %v", seq, err)
+		}
+	}
+	if mode == cpAwait {
+		r.adoptHead(seq) // the others' votes may be here already
+		return
+	}
+	if r.cfg.KeepCheckpointHistory {
+		r.cpHistory[seq] = r.cpHead.digest
+	}
+	full := 0
+	if mode == cpFull {
+		full = 1
+	}
 	r.emit(EventCheckpoint, seq, full)
-	cp := Checkpoint{Seq: seq, View: r.view, Digest: digest, Replica: r.cfg.ID}
-	r.lastCP = cp
-	r.recordCheckpoint(cp)
-	r.broadcast(cp)
+	r.lastCP = r.checkpointAt(seq, r.cpHead)
+	r.recordCheckpoint(r.lastCP)
+	r.broadcast(r.lastCP)
 }
 
-// tryDeltaCheckpoint drains the service journal and, when a delta
-// checkpoint is due and possible, returns the delta blob to chain.
-// Full checkpoints are due on a deterministic schedule (every
-// CompactEvery-th interval by sequence number), so every replica picks
-// the same mode and the digests vote — a replica whose journal broke
-// (Restore, recovery, overflow: all deterministic or self-affecting
-// events) dissents with a full digest until the next scheduled full
-// checkpoint re-bases everyone.
-func (r *Replica) tryDeltaCheckpoint(seq uint64) ([]byte, bool) {
+// checkpointAt is this replica's announcement of head at seq.
+func (r *Replica) checkpointAt(seq uint64, h cpHead) Checkpoint {
+	return Checkpoint{Seq: seq, View: r.view, Digest: h.digest, BaseLen: h.baseLen, ChainLen: h.chainLen, Replica: r.cfg.ID}
+}
+
+// tryDeltaCheckpoint cuts the service journal at seq and decides the
+// checkpoint's mode — the one place that does. A full checkpoint is due
+// at a grid point (every CompactEvery-th interval by sequence number)
+// once the chain has outgrown its base: both weights are functions of
+// bytes every replica holding the head agrees on, so all of them pick
+// the same mode with no coordination and the digests vote. A replica
+// without a head — recovered from disk, or its journal broke — restarts
+// its journal here and awaits adoption instead of snapshotting: a lone
+// snapshot would start a chain nobody else is on, with re-bases of its
+// own.
+//
+// The grid also keeps its old job as the backstop. When checkpoints
+// have not stabilised for half the window — however the heads came to
+// differ — every grid point is taken, by everyone, head or not, which
+// is the schedule that used to apply always and needs nothing but
+// sequence numbers to agree on.
+func (r *Replica) tryDeltaCheckpoint(seq uint64) ([]byte, cpMode) {
 	ds, ok := r.service.(DeltaSnapshotter)
 	if !ok {
-		return nil, false
+		return nil, cpFull
 	}
-	every := r.cfg.CheckpointInterval * uint64(r.cfg.CompactEvery)
-	if !r.cpHave || r.cfg.CompactEvery <= 1 || seq%every == 0 {
-		// A full checkpoint is due: the journal restarts here, but its
-		// contents are not needed — skip the encode.
+	grid := seq%(r.cfg.CheckpointInterval*uint64(r.cfg.CompactEvery)) == 0
+	stalled := seq-r.lowWater >= window/2
+	if r.cfg.CompactEvery <= 1 || grid && (stalled || r.cpHave && r.cpHead.outgrown()) {
+		// The journal restarts here, but its contents are not needed —
+		// skip the encode.
 		ds.ResetJournal()
-		return nil, false
+		return nil, cpFull
 	}
-	svcDelta, jok := ds.CheckpointDelta()
-	if !jok {
-		return nil, false
+	if r.cpHave {
+		if svcDelta, ok := ds.CheckpointDelta(); ok {
+			return encodeCheckpointDelta(svcDelta, r.drainClientUpdates()), cpDelta
+		}
+		r.cpHave = false // the journal broke: the head cannot be extended
 	}
-	return encodeCheckpointDelta(svcDelta, r.drainClientUpdates()), true
+	ds.ResetJournal()
+	clear(r.dirtyClients)
+	return nil, cpAwait
 }
 
 // drainClientUpdates encodes and clears the dirty client records.
@@ -1692,13 +1747,57 @@ func (r *Replica) drainClientUpdates() []byte {
 }
 
 // rebase installs a full snapshot as the digest chain's new base.
-func (r *Replica) rebase(seq uint64, snap []byte, digest [32]byte) {
+func (r *Replica) rebase(seq uint64, snap []byte, head cpHead) {
 	r.cpHave = true
+	r.cpHead = head
+	r.cpSeq = seq
 	r.cpBase = snap
 	r.cpBaseSeq = seq
-	r.cpDigest = digest
 	clear(r.cpDeltas)
 	clear(r.dirtyClients) // the full snapshot carries the whole table
+}
+
+// adoptHead lets a replica take the chain head at its last checkpoint
+// boundary from the votes of others. A replica without a head takes the
+// one f+1 of them announce for that boundary — at least one is honest,
+// and an honest head commits to the committed state at seq, which is
+// the state this replica's journal restarted from (the weak certificate
+// onStateResponse trusts for a whole state). A replica whose own head a
+// full quorum of others contradicts is the odd one out, and takes
+// theirs. Either way it holds no base to serve chain packs from until
+// the next re-base, and from the next boundary it chains and votes like
+// everyone else.
+func (r *Replica) adoptHead(seq uint64) {
+	if seq != r.cpSeq {
+		return // the journal no longer starts there
+	}
+	need := r.cfg.F + 1
+	if r.cpHave {
+		need = r.quorum()
+	}
+	counts := make(map[cpHead]int)
+	for id, v := range r.checkpoints[seq] {
+		if id != r.cfg.ID && !(r.cpHave && v.head == r.cpHead) {
+			counts[v.head]++
+		}
+	}
+	// Two heads can both reach f+1 only when honest replicas are
+	// themselves split; either is sound then (the quorum rule reunites
+	// them), and the smaller digest keeps the choice replayable.
+	var best *cpHead
+	for h, c := range counts {
+		if c >= need && (best == nil || bytes.Compare(h.digest[:], best.digest[:]) < 0) {
+			best = &h
+		}
+	}
+	if best == nil {
+		return
+	}
+	r.logf("adopting chain head %x at %d", best.digest[:4], seq)
+	r.cpHave, r.cpHead = true, *best
+	r.cpBase = nil
+	clear(r.cpDeltas)
+	delete(r.snapshots, seq)
 }
 
 // unitExtra encodes the client records a just-executed batch touched —
@@ -1751,11 +1850,15 @@ func (r *Replica) recordCheckpoint(cp Checkpoint) {
 		byReplica = make(map[string]cpVote)
 		r.checkpoints[cp.Seq] = byReplica
 	}
-	byReplica[cp.Replica] = cpVote{digest: cp.Digest, view: cp.View}
-	// Count matching digests.
-	counts := make(map[[32]byte]int)
+	byReplica[cp.Replica] = cpVote{
+		head: cpHead{digest: cp.Digest, baseLen: cp.BaseLen, chainLen: cp.ChainLen},
+		view: cp.View,
+	}
+	r.adoptHead(cp.Seq)
+	// Count matching heads.
+	counts := make(map[cpHead]int)
 	for _, v := range byReplica {
-		counts[v.digest]++
+		counts[v.head]++
 	}
 	for d, c := range counts {
 		if c < r.quorum() {
@@ -1777,10 +1880,10 @@ func (r *Replica) recordCheckpoint(cp Checkpoint) {
 		}
 		return
 	}
-	// Weak certificate: f+1 matching digests above our execution point
+	// Weak certificate: f+1 matching heads above our execution point
 	// include at least one honest replica, whose checkpoint digest is
 	// committed state by construction — enough to trust a transfer.
-	// (Only one digest can ever reach f+1: honest replicas agree, so a
+	// (Only one head can ever reach f+1: honest replicas agree, so a
 	// second camp holds at most the f faulty.) This matters when fewer
 	// than 2f+1 replicas are still advancing: the full quorum above can
 	// never assemble, and without this path two laggards each below the
@@ -1851,14 +1954,14 @@ func (r *Replica) stabilize(seq uint64) {
 	r.flushQueue(false)
 }
 
-func (r *Replica) requestState(seq uint64, digest [32]byte) {
+func (r *Replica) requestState(seq uint64, head cpHead) {
 	// Deterministic peer choice (group order starting after ourselves):
 	// map order would pick a different server on every replay, and the
 	// offset spreads transfer load when several replicas lag at once.
 	byReplica := r.checkpoints[seq]
 	for i := 1; i < r.n; i++ {
 		id := r.cfg.Replicas[(r.index+i)%r.n]
-		if v, ok := byReplica[id]; ok && v.digest == digest {
+		if v, ok := byReplica[id]; ok && v.head == head {
 			r.sendTo(id, StateRequest{Seq: seq, Replica: r.cfg.ID})
 			return
 		}
@@ -1906,7 +2009,7 @@ func (r *Replica) sendBulk(id string, msg any) {
 // chainPackFor assembles base + deltas covering every checkpoint in
 // (base, seq], if this replica still holds them all.
 func (r *Replica) chainPackFor(seq uint64) ([]byte, bool) {
-	if !r.cpHave || seq <= r.cpBaseSeq {
+	if !r.cpHave || r.cpBase == nil || seq <= r.cpBaseSeq {
 		return nil, false
 	}
 	interval := r.cfg.CheckpointInterval
@@ -1934,16 +2037,16 @@ func (r *Replica) onStateResponse(resp StateResponse) {
 		return
 	}
 	// Verify against a checkpoint quorum before installing. A chain
-	// pack folds to the chained digest the quorum voted, which commits
-	// to the base snapshot and every delta — so tampering with any part
-	// of either pack breaks the match.
-	digest := auth.Digest(full)
+	// pack folds to the chain head the quorum voted, whose digest
+	// commits to the base snapshot and every delta — so tampering with
+	// any part of either pack breaks the match.
+	head := fullHead(full)
 	if isChain {
-		digest = chain.digest()
+		head = chain.head()
 	}
 	matching := 0
 	for _, v := range r.checkpoints[resp.Seq] {
-		if v.digest == digest {
+		if v.head == head {
 			matching++
 		}
 	}
@@ -1990,18 +2093,14 @@ func (r *Replica) onStateResponse(resp StateResponse) {
 		}
 	}
 	if isChain {
-		r.cpHave = true
-		r.cpBase = chain.base
-		r.cpBaseSeq = chain.baseSeq
-		r.cpDigest = digest
-		clear(r.cpDeltas)
+		r.rebase(chain.baseSeq, chain.base, head)
+		r.cpSeq = resp.Seq
 		for _, cd := range chain.cps {
 			r.cpDeltas[cd.seq] = cd.delta
 		}
-		clear(r.dirtyClients)
 	} else {
 		r.snapshots[resp.Seq] = full
-		r.rebase(resp.Seq, full, digest)
+		r.rebase(resp.Seq, full, head)
 	}
 	r.executed = resp.Seq
 	if resp.Seq > r.seq {
@@ -2009,12 +2108,12 @@ func (r *Replica) onStateResponse(resp StateResponse) {
 	}
 	r.stabilize(resp.Seq)
 	if resp.Seq > r.lastCP.Seq {
-		r.lastCP = Checkpoint{Seq: resp.Seq, View: r.view, Digest: digest, Replica: r.cfg.ID}
+		r.lastCP = r.checkpointAt(resp.Seq, head)
 	}
 	// Realign with the view the checkpoint quorum reported, rather than
 	// trusting the single responder's View field (one Byzantine server
 	// could otherwise strand us in a fictitious far-future view).
-	r.syncViewWithQuorum(resp.Seq, digest)
+	r.syncViewWithQuorum(resp.Seq, head)
 	r.m.stateInstalled.Inc()
 	r.emit(EventStateTransferInstalled, resp.Seq, 0)
 	r.logf("state transfer installed seq %d", resp.Seq)

@@ -117,6 +117,12 @@ type SpaceService struct {
 	journal       []wire.DeltaOp
 	journalBroken bool
 
+	// snapLen and deltaLen remember how long the last Snapshot and
+	// CheckpointDelta came out, so the next one is encoded into a buffer
+	// that already fits it.
+	snapLen  int
+	deltaLen int
+
 	// db, when set, is the durability engine behind the space's stores
 	// (NewDurableSpaceService).
 	db *durable.DB
@@ -181,8 +187,9 @@ func NewSpaceServiceWithConfig(pol policy.Policy, e space.Engine, shards int) (*
 // write-ahead log, and the state db recovered from disk is installed
 // into the space (under its original sequence numbers) before the
 // service is handed out. The replica layer detects the durable service
-// and frames agreement batches as atomic WAL units, compacts at full
-// checkpoints, and folds the recovered client table forward.
+// and frames agreement batches as atomic WAL units, offers the log for
+// compaction at checkpoint boundaries, and folds the recovered client
+// table forward.
 func NewDurableSpaceService(pol policy.Policy, db *durable.DB, shards int) (*SpaceService, error) {
 	if shards <= 0 {
 		shards = 1
@@ -443,8 +450,9 @@ func (s *SpaceService) TentativeDepth() int {
 // CheckpointInterval executions, so the cap only triggers when nothing
 // checkpoints (a service driven outside a replica); overflowing marks
 // the journal broken, deterministically — every replica executes the
-// same sequence, so all of them overflow on the same unit and fall
-// back to a full checkpoint together.
+// same sequence, so all of them overflow on the same unit, lose their
+// chain heads together and re-base together at the next grid point the
+// stalled checkpoints open (Replica.tryDeltaCheckpoint).
 const maxJournalOps = 1 << 17
 
 // journalOp appends one op to the mutation journal, marking the
@@ -477,15 +485,18 @@ func (s *SpaceService) journalEffects(st *space.Staged) {
 	}
 }
 
-// CheckpointDelta implements DeltaSnapshotter.
+// CheckpointDelta implements DeltaSnapshotter. The journal's backing
+// array is kept for the next interval, which fills about as far.
 func (s *SpaceService) CheckpointDelta() ([]byte, bool) {
 	if s.journalBroken {
-		s.journal, s.journalBroken = nil, false
+		s.ResetJournal()
 		return nil, false
 	}
-	blob := wire.EncodeDelta(wire.Delta{Ops: s.journal})
-	s.journal = nil
-	return blob, true
+	w := wire.NewWriterSize(s.deltaLen + s.deltaLen/8 + 64)
+	wire.AppendDelta(w, wire.Delta{Ops: s.journal})
+	s.deltaLen = len(w.Data())
+	s.ResetJournal()
+	return w.Data(), true
 }
 
 // ApplyDelta implements DeltaSnapshotter: the delta's mutations apply
@@ -553,7 +564,8 @@ func (s *SpaceService) ApplyDelta(delta []byte) error {
 
 // ResetJournal implements DeltaSnapshotter.
 func (s *SpaceService) ResetJournal() {
-	s.journal, s.journalBroken = nil, false
+	clear(s.journal) // drop the tuples, keep the room
+	s.journal, s.journalBroken = s.journal[:0], false
 }
 
 // Durable implements DurableService.
@@ -573,12 +585,13 @@ func (s *SpaceService) CommitUnit(extra []byte) {
 	}
 }
 
-// CompactTo implements DurableService.
+// CompactTo implements DurableService: the engine decides whether the
+// log is worth folding, and reads the space itself when it is.
 func (s *SpaceService) CompactTo(seq uint64, extra []byte) error {
 	if s.db == nil {
 		return nil
 	}
-	return s.db.Compact(seq, extra)
+	return s.db.Compact(seq, extra, s.inner.ForEachSeq, false)
 }
 
 // BeginStateLoad implements DurableService.
@@ -594,7 +607,7 @@ func (s *SpaceService) EndStateLoad(seq uint64, extra []byte) error {
 		return nil
 	}
 	s.db.EndLoad()
-	return s.db.Compact(seq, extra)
+	return s.db.Compact(seq, extra, s.inner.ForEachSeq, true)
 }
 
 // AbortStateLoad implements DurableService.
@@ -661,14 +674,21 @@ func (s *SpaceService) applyStaged(st *space.Staged, client string, op wire.Spac
 // list, followed — on a partitioned service — by the pending and
 // decided cross-partition transaction tables (they shape what every
 // later operation observes, so they are checkpoint state).
+//
+// The tuples stream from the stores into a writer sized from the
+// previous snapshot: one pass, no intermediate list. Called on the
+// replica event loop (and by tests), never concurrently with itself.
 func (s *SpaceService) Snapshot() []byte {
-	tuples := s.inner.Snapshot()
-	w := wire.NewWriter()
-	w.Uvarint(uint64(len(tuples)))
-	for _, t := range tuples {
-		w.Tuple(t)
-	}
+	w := wire.NewWriterSize(s.snapLen + s.snapLen/8 + 128)
+	s.inner.DoRead(func(tx *space.Tx) {
+		w.Uvarint(uint64(tx.Len()))
+		tx.ForEach(func(t tuple.Tuple) bool {
+			w.Tuple(t)
+			return true
+		})
+	})
 	s.appendPartitionSnapshot(w)
+	s.snapLen = len(w.Data())
 	return w.Data()
 }
 

@@ -272,11 +272,11 @@ func (r *Replica) onNewView(nv NewView) {
 	}
 }
 
-// cpVote is one replica's checkpoint announcement: the state digest it
+// cpVote is one replica's checkpoint announcement: the chain head it
 // published and the view it was operating in when it published it.
 type cpVote struct {
-	digest [32]byte
-	view   uint64
+	head cpHead
+	view uint64
 }
 
 // syncViewWithQuorum realigns this replica's view with the view the
@@ -300,10 +300,10 @@ type cpVote struct {
 // installedView guards the induction — a replica never falls back below
 // a view it installed, so a view that committed anything is only ever
 // left forward.
-func (r *Replica) syncViewWithQuorum(seq uint64, digest [32]byte) {
+func (r *Replica) syncViewWithQuorum(seq uint64, head cpHead) {
 	views := make([]uint64, 0, r.n)
 	for _, v := range r.checkpoints[seq] {
-		if v.digest == digest {
+		if v.head == head {
 			views = append(views, v.view)
 		}
 	}

@@ -17,8 +17,10 @@
 // recovers by loading the newest valid snapshot and replaying the log
 // tail, truncating a torn final record; a checksum failure anywhere
 // else in the log is corruption and fails loudly. Compaction writes a
-// fresh snapshot and deletes the segments it subsumes, keeping disk
-// bounded under sustained load.
+// fresh snapshot and deletes the segments it subsumes; it happens when
+// the log has outgrown the last snapshot, so its cost stays in
+// proportion to what changed while disk and replay stay within twice
+// the state.
 package durable
 
 import (
@@ -73,10 +75,12 @@ type Options struct {
 	// SegmentBytes rotates the WAL to a new segment file once the
 	// current one exceeds it (default 4 MiB).
 	SegmentBytes int
-	// AutoCompactBytes self-compacts once this many WAL bytes
-	// accumulated since the last snapshot (default 64 MiB). Set
-	// negative to disable — the replication layer does, because it
-	// compacts at full-checkpoint boundaries itself.
+	// AutoCompactBytes makes the DB compact itself, from a mirror of
+	// the live state it then keeps: once the WAL written since the last
+	// snapshot has outgrown both this many bytes (default 64 MiB) and
+	// that snapshot. Set negative to disable — the replication layer
+	// does, because it offers the space itself to Compact at checkpoint
+	// boundaries, and the DB then keeps no mirror.
 	AutoCompactBytes int
 }
 
@@ -130,14 +134,17 @@ type Recovered struct {
 	Units []UnitExtra
 }
 
-// DB is one durable store engine instance: the shared write-ahead log,
-// snapshot machinery and in-memory mirror behind every store of one
-// space.
+// DB is one durable store engine instance: the shared write-ahead log
+// and snapshot machinery behind every store of one space.
 type DB struct {
 	opts Options
 
-	mu       sync.Mutex
-	mem      map[uint64]tuple.Tuple // live contents by space seq (mirror)
+	mu sync.Mutex
+	// mem mirrors the live contents by space seq. Recovery builds it;
+	// afterwards only a self-compacting DB (AutoCompactBytes > 0) keeps
+	// it, because that one snapshots from inside a store mutation, where
+	// the space cannot be read. It is nil otherwise.
+	mem      map[uint64]tuple.Tuple
 	maxSeq   uint64
 	lastUnit uint64
 	extra    []byte // latest full extra blob (snapshot base or Compact)
@@ -146,6 +153,7 @@ type DB struct {
 	segIdx   uint64
 	segSize  int
 	walSince int // WAL bytes since the last snapshot
+	snapLen  int // length of that snapshot's file; 0 when there is none
 
 	buf     []byte // sealed frames not yet written to the file
 	dirty   bool   // file bytes not yet fsynced
@@ -285,9 +293,10 @@ func (db *DB) recover() error {
 		haveSnap bool
 	)
 	for i := len(snaps) - 1; i >= 0; i-- {
-		sd, err := readSnapshotFile(filepath.Join(db.opts.Dir, snapName(snaps[i])))
+		sd, n, err := readSnapshotFile(filepath.Join(db.opts.Dir, snapName(snaps[i])))
 		if err == nil {
 			base, baseIdx, haveSnap = sd, snaps[i], true
+			db.snapLen = n
 			break
 		}
 		if i == 0 {
@@ -346,6 +355,9 @@ func (db *DB) recover() error {
 	db.rec.Tuples = db.sortedStateLocked()
 	db.rec.MaxSeq = db.maxSeq
 	db.rec.UnitSeq = db.lastUnit
+	if db.opts.AutoCompactBytes <= 0 {
+		db.mem = nil // whoever compacts this DB brings the state along
+	}
 
 	// Lazy cleanup of files a finished compaction or recovery made
 	// dead: segments and older snapshots below the chosen base.
@@ -391,6 +403,7 @@ func (db *DB) replaySegment(idx uint64, last bool) error {
 		}
 		db.applyRecord(rec)
 		off += n
+		db.walSince += n
 	}
 	return nil
 }
@@ -445,7 +458,9 @@ func (db *DB) sortedStateLocked() []space.SeqTuple {
 func (db *DB) recordInsert(t tuple.Tuple, seq uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	db.mem[seq] = t
+	if db.mem != nil {
+		db.mem[seq] = t
+	}
 	if seq > db.maxSeq {
 		db.maxSeq = seq
 	}
@@ -469,7 +484,9 @@ func (db *DB) recordInsertBatch(ts []space.SeqTuple) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	for _, st := range ts {
-		db.mem[st.Seq] = st.T
+		if db.mem != nil {
+			db.mem[st.Seq] = st.T
+		}
 		if st.Seq > db.maxSeq {
 			db.maxSeq = st.Seq
 		}
@@ -494,7 +511,7 @@ func (db *DB) recordInsertBatch(ts []space.SeqTuple) {
 func (db *DB) recordRemove(seq uint64) {
 	db.mu.Lock()
 	defer db.mu.Unlock()
-	delete(db.mem, seq)
+	delete(db.mem, seq) // a no-op without the mirror
 	if db.loading || db.closed {
 		return
 	}
@@ -651,8 +668,8 @@ func (db *DB) sealLocked(f *frameBuf, extra []byte) {
 	if db.segSize+len(db.buf) > db.opts.SegmentBytes {
 		db.rotateLocked()
 	}
-	if db.opts.AutoCompactBytes > 0 && db.walSince > db.opts.AutoCompactBytes {
-		db.compactLocked(db.lastUnit, db.extra)
+	if db.opts.AutoCompactBytes > 0 && db.compactDueLocked() {
+		db.compactLocked(db.lastUnit, db.extra, db.mirrorLocked)
 	}
 }
 
@@ -714,13 +731,22 @@ func (db *DB) rotateLocked() {
 
 // ---- Compaction ----
 
-// Compact writes a fresh full snapshot of the live state — declared to
-// cover unit seq, with the replication layer's extra blob — and
-// deletes the WAL segments and snapshots it subsumes, bounding the
-// disk. The replication layer calls it at full-checkpoint boundaries
-// and after a state-transfer Restore (which is how "Restore resets the
-// WAL"); local spaces self-compact by AutoCompactBytes.
-func (db *DB) Compact(unitSeq uint64, extra []byte) error {
+// Compact is where the log may be folded into a fresh snapshot: the
+// replication layer calls it at every checkpoint boundary, and with
+// force after a state-transfer install (which is how "Restore resets
+// the WAL"). It does nothing unless forced or due (compactDueLocked).
+// When it runs, the snapshot — declared to cover unit seq, with the
+// replication layer's extra blob — is written from state, which must
+// yield the space's live tuples in sequence order (Space.ForEachSeq),
+// and the WAL segments and snapshots it subsumes are deleted. A skipped
+// call leaves extra unrecorded: recovery folds the units still in the
+// log over the older snapshot's blob instead.
+//
+// state reads the space while the DB is locked, so Compact belongs to
+// the goroutine that serialises the space's mutations — the replica's
+// event loop; a concurrent mutator would deadlock against it. Local
+// spaces never call it: they self-compact by AutoCompactBytes.
+func (db *DB) Compact(unitSeq uint64, extra []byte, state func(func(space.SeqTuple) bool), force bool) error {
 	db.mu.Lock()
 	defer db.mu.Unlock()
 	if db.closed {
@@ -729,11 +755,32 @@ func (db *DB) Compact(unitSeq uint64, extra []byte) error {
 	if db.frame != nil {
 		return errors.New("durable: compact with a unit open")
 	}
-	db.compactLocked(unitSeq, extra)
+	if force || db.compactDueLocked() {
+		db.compactLocked(unitSeq, extra, state)
+	}
 	return db.err
 }
 
-func (db *DB) compactLocked(unitSeq uint64, extra []byte) {
+// compactDueLocked is the engine's one compaction rule: the log since
+// the last snapshot has reached that snapshot's size (and, on a
+// self-compacting DB, its AutoCompactBytes floor). Rewriting the state
+// then costs no more than logging the changes did, and the disk and the
+// replay stay within twice the state plus what one interval logs.
+func (db *DB) compactDueLocked() bool {
+	return db.walSince >= max(db.snapLen, db.opts.AutoCompactBytes)
+}
+
+// mirrorLocked yields the mirror's contents in sequence order — the
+// state a self-compacting DB snapshots from.
+func (db *DB) mirrorLocked(yield func(space.SeqTuple) bool) {
+	for _, st := range db.sortedStateLocked() {
+		if !yield(st) {
+			return
+		}
+	}
+}
+
+func (db *DB) compactLocked(unitSeq uint64, extra []byte, state func(func(space.SeqTuple) bool)) {
 	db.mCompactions.Inc()
 	if unitSeq > db.lastUnit {
 		db.lastUnit = unitSeq
@@ -742,13 +789,12 @@ func (db *DB) compactLocked(unitSeq uint64, extra []byte) {
 	// Seal what we have, move to a fresh segment, and snapshot
 	// everything before it.
 	db.rotateLocked()
-	sd := snapshotData{
-		unitSeq: db.lastUnit,
-		maxSeq:  db.maxSeq,
-		extra:   extra,
-		tuples:  db.sortedStateLocked(),
+	sizeHint := db.snapLen
+	if sizeHint == 0 {
+		sizeHint = db.walSince // a first snapshot holds about what was logged
 	}
-	if err := writeSnapshotFile(db.opts.Dir, snapName(db.segIdx), sd); err != nil {
+	snap := encodeSnapshot(db.lastUnit, db.maxSeq, extra, state, sizeHint)
+	if err := writeSnapshotFile(db.opts.Dir, snapName(db.segIdx), snap); err != nil {
 		db.fail(err)
 		return
 	}
@@ -769,6 +815,7 @@ func (db *DB) compactLocked(unitSeq uint64, extra []byte) {
 	}
 	db.fail(syncDir(db.opts.Dir))
 	db.walSince = 0
+	db.snapLen = len(snap)
 }
 
 // ---- Lifecycle ----

@@ -44,6 +44,14 @@ func wantPrefix(t *testing.T, rec Recovered, k int) {
 	}
 }
 
+// storeState is one store's contents as Compact takes the state: in
+// sequence order, streamed.
+func storeState(st space.Store) func(func(space.SeqTuple) bool) {
+	return func(yield func(space.SeqTuple) bool) {
+		st.ForEach(func(t tuple.Tuple, seq uint64) bool { return yield(space.SeqTuple{Seq: seq, T: t}) })
+	}
+}
+
 // segFiles lists the dir's WAL segment paths in index order.
 func segFiles(t *testing.T, dir string) []string {
 	t.Helper()
@@ -334,7 +342,7 @@ func TestCompactionBoundsDiskAndSurvivesRestart(t *testing.T) {
 	if segs, _, _ := db.DiskUsage(); segs < 2 {
 		t.Fatalf("expected several segments before compaction, got %d", segs)
 	}
-	if err := db.Compact(unit, []byte("extra")); err != nil {
+	if err := db.Compact(unit, []byte("extra"), storeState(st), true); err != nil {
 		t.Fatal(err)
 	}
 	segsAfter, bytesAfter, err := db.DiskUsage()
@@ -456,5 +464,193 @@ func TestSpaceLevelRecovery(t *testing.T) {
 	}
 	if _, ok := sp3.Rdp(tuple.T(tuple.Str("u"), tuple.Int(100))); !ok {
 		t.Fatal("restored tuple missing after restart")
+	}
+}
+
+// snapFiles lists the dir's snapshot paths.
+func snapFiles(t *testing.T, dir string) []string {
+	t.Helper()
+	paths, err := filepath.Glob(filepath.Join(dir, "snap-*.snap"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return paths
+}
+
+// fileSize stats one file.
+func fileSize(t *testing.T, path string) int64 {
+	t.Helper()
+	info, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return info.Size()
+}
+
+// TestCompactionWaitsForTheLogToOutgrowTheSnapshot pins the compaction
+// rule at the boundary calls the replication layer makes: skipped while
+// the log written since the last snapshot is shorter than it, taken
+// once it is not — which keeps the directory within two snapshots and a
+// segment, and a compaction's cost in proportion to what was logged.
+func TestCompactionWaitsForTheLogToOutgrowTheSnapshot(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir, SyncNever)
+	defer db.Close()
+	st := db.NewStore()
+	seq, unit := uint64(0), uint64(0)
+	// toggle replaces one resident tuple per unit: the state keeps its
+	// size while the log grows.
+	toggle := func(n int) {
+		for i := 0; i < n; i++ {
+			unit++
+			db.BeginUnit(unit)
+			seq++
+			st.Insert(ut(int(seq)), seq)
+			st.Find(ut(int(seq-200)), true)
+			db.CommitUnit([]byte("table-update"))
+		}
+	}
+	boundary := func() (snap string) {
+		t.Helper()
+		if err := db.Compact(unit, []byte("table"), storeState(st), false); err != nil {
+			t.Fatal(err)
+		}
+		snaps := snapFiles(t, dir)
+		if len(snaps) != 1 {
+			t.Fatalf("want exactly one snapshot, have %v", snaps)
+		}
+		segs, bytes, err := db.DiskUsage()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if limit := 2*fileSize(t, snaps[0]) + 2048; segs != 1 || bytes > limit {
+			t.Fatalf("disk: %d segments, %d bytes; want one segment within %d", segs, bytes, limit)
+		}
+		return snaps[0]
+	}
+	for i := 0; i < 200; i++ { // the resident set
+		seq++
+		st.Insert(ut(int(seq)), seq)
+	}
+	first := boundary() // nothing to outgrow yet: taken
+	snapLen := fileSize(t, first)
+
+	taken, skipped := 0, 0
+	for round := 0; round < 40; round++ {
+		toggle(16)
+		logged := fileSize(t, segFiles(t, dir)[0]) + int64(len(db.buf))
+		before := snapFiles(t, dir)[0]
+		after := boundary()
+		switch {
+		case after == before && logged >= snapLen:
+			t.Fatalf("round %d: %d bytes logged over a %d-byte snapshot, not compacted", round, logged, snapLen)
+		case after != before && logged < snapLen:
+			t.Fatalf("round %d: compacted with %d bytes logged over a %d-byte snapshot", round, logged, snapLen)
+		case after == before:
+			skipped++
+		default:
+			taken++
+			snapLen = fileSize(t, after)
+		}
+	}
+	if taken < 2 || skipped < 2*taken {
+		t.Fatalf("%d compactions taken, %d skipped", taken, skipped)
+	}
+}
+
+// TestSkippedCompactionsRecoverLikeEagerOnes crashes two engines fed
+// the same units — one folding its log at every boundary, one only when
+// the rule says so — and requires the same recovered tuples, sequence
+// counter, unit position and folded extra blobs from both.
+func TestSkippedCompactionsRecoverLikeEagerOnes(t *testing.T) {
+	run := func(force bool) (Recovered, string) {
+		dir := t.TempDir()
+		db := mustOpen(t, dir, SyncAlways)
+		st := db.NewStore()
+		seq := uint64(0)
+		for ; seq < 300; seq++ { // a resident set the units below barely change
+			st.Insert(ut(int(seq+1)), seq+1)
+		}
+		if err := db.Compact(0, nil, storeState(st), true); err != nil {
+			t.Fatal(err)
+		}
+		for unit := uint64(1); unit <= 90; unit++ {
+			db.BeginUnit(unit)
+			seq++
+			st.Insert(ut(int(seq)), seq)
+			if unit%3 != 0 {
+				st.Find(ut(int(seq-2)), true)
+			}
+			db.CommitUnit([]byte{byte(unit)})
+			if unit%8 == 0 {
+				// The extra at a boundary is the fold of every unit's so far.
+				if err := db.Compact(unit, []byte{byte(unit)}, storeState(st), force); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		db.Crash()
+		db2 := mustOpen(t, dir, SyncAlways)
+		defer db2.Close()
+		rec := db2.Recovered()
+		folded := rec.BaseExtra
+		for _, u := range rec.Units {
+			folded = u.Extra // a unit's extra replaces the table in this model
+		}
+		return rec, string(folded)
+	}
+	eager, eagerTable := run(true)
+	lazy, lazyTable := run(false)
+	if len(lazy.Units) <= len(eager.Units) {
+		t.Fatalf("the rule skipped nothing: %d units to replay against %d", len(lazy.Units), len(eager.Units))
+	}
+	if lazy.MaxSeq != eager.MaxSeq || lazy.UnitSeq != eager.UnitSeq || lazyTable != eagerTable {
+		t.Fatalf("recovered (maxSeq %d, unit %d, table %x), eager (%d, %d, %x)",
+			lazy.MaxSeq, lazy.UnitSeq, lazyTable, eager.MaxSeq, eager.UnitSeq, eagerTable)
+	}
+	if len(lazy.Tuples) != len(eager.Tuples) {
+		t.Fatalf("recovered %d tuples, eager %d", len(lazy.Tuples), len(eager.Tuples))
+	}
+	for i, st := range lazy.Tuples {
+		if st.Seq != eager.Tuples[i].Seq || !st.T.Equal(eager.Tuples[i].T) {
+			t.Fatalf("tuple %d: %v@%d, eager %v@%d", i, st.T, st.Seq, eager.Tuples[i].T, eager.Tuples[i].Seq)
+		}
+	}
+}
+
+// TestRecoveryCountsTheReplayedLog: the log a reopened engine replayed
+// still counts toward the next compaction, so restarts cannot let it
+// grow without bound under a snapshot it has long outgrown.
+func TestRecoveryCountsTheReplayedLog(t *testing.T) {
+	dir := t.TempDir()
+	db := mustOpen(t, dir, SyncAlways)
+	st := db.NewStore()
+	st.Insert(ut(1), 1)
+	if err := db.Compact(0, nil, storeState(st), false); err != nil {
+		t.Fatal(err)
+	}
+	for seq := uint64(2); seq <= 40; seq++ {
+		st.Insert(ut(int(seq)), seq)
+	}
+	db.Close()
+
+	db2 := mustOpen(t, dir, SyncAlways)
+	defer db2.Close()
+	before := snapFiles(t, dir)
+	sp, err := space.NewShardedFactory(1, func(int) (space.Store, error) { return db2.NewStore(), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	db2.StartLoad()
+	err = sp.Install(db2.Recovered().Tuples)
+	db2.EndLoad()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := db2.Compact(0, nil, sp.ForEachSeq, false); err != nil {
+		t.Fatal(err)
+	}
+	if after := snapFiles(t, dir); len(after) != 1 || after[0] == before[0] {
+		t.Fatalf("reopened engine forgot the %d mutations it replayed: snapshot still %v", 39, after)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 
 	"peats/internal/space"
+	"peats/internal/tuple"
 	"peats/internal/wire"
 )
 
@@ -35,21 +36,33 @@ type snapshotData struct {
 	tuples  []space.SeqTuple
 }
 
-func encodeSnapshot(sd snapshotData) []byte {
-	w := wire.NewWriter()
-	w.Uvarint(sd.unitSeq)
-	w.Uvarint(sd.maxSeq)
-	w.Bytes(sd.extra)
-	w.Uvarint(uint64(len(sd.tuples)))
-	for _, st := range sd.tuples {
-		w.Uvarint(st.Seq)
-		w.Tuple(st.T)
-	}
-	payload := w.Data()
-	out := make([]byte, 0, len(snapMagic)+4+len(payload))
-	out = append(out, snapMagic[:]...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(payload, crcTable))
-	return append(out, payload...)
+// encodeSnapshot builds a snapshot file in one pass: state streams the
+// live tuples, in sequence order, straight into a buffer sized from the
+// previous snapshot (sizeHint), and the header — whose tuple count is
+// only known once the stream ends — is written into the room left in
+// front of them, so the bytes returned are written to disk as they are.
+func encodeSnapshot(unitSeq, maxSeq uint64, extra []byte, state func(func(space.SeqTuple) bool), sizeHint int) []byte {
+	room := len(snapMagic) + 4 + 4*binary.MaxVarintLen64 + len(extra)
+	buf := make([]byte, room, room+sizeHint+sizeHint/8+1024)
+	count := uint64(0)
+	state(func(st space.SeqTuple) bool {
+		buf = binary.AppendUvarint(buf, st.Seq)
+		buf = tuple.Append(buf, st.T)
+		count++
+		return true
+	})
+	hdr := make([]byte, 0, room)
+	hdr = binary.AppendUvarint(hdr, unitSeq)
+	hdr = binary.AppendUvarint(hdr, maxSeq)
+	hdr = binary.AppendUvarint(hdr, uint64(len(extra)))
+	hdr = append(hdr, extra...)
+	hdr = binary.AppendUvarint(hdr, count)
+	payload := room - len(hdr)
+	copy(buf[payload:], hdr)
+	start := payload - 4 - len(snapMagic)
+	copy(buf[start:], snapMagic[:])
+	binary.LittleEndian.PutUint32(buf[payload-4:], crc32.Checksum(buf[payload:], crcTable))
+	return buf[start:]
 }
 
 // maxSnapTuples bounds decoded snapshot sizes the same way the WAL
@@ -89,23 +102,25 @@ func decodeSnapshot(b []byte) (snapshotData, error) {
 	return sd, nil
 }
 
-func readSnapshotFile(path string) (snapshotData, error) {
+// readSnapshotFile decodes a snapshot file and reports its length.
+func readSnapshotFile(path string) (snapshotData, int, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
-		return snapshotData{}, err
+		return snapshotData{}, 0, err
 	}
-	return decodeSnapshot(b)
+	sd, err := decodeSnapshot(b)
+	return sd, len(b), err
 }
 
 // writeSnapshotFile durably writes a snapshot: temp file, fsync,
 // rename, directory fsync.
-func writeSnapshotFile(dir, name string, sd snapshotData) error {
+func writeSnapshotFile(dir, name string, data []byte) error {
 	tmp := filepath.Join(dir, name+".tmp")
 	f, err := os.OpenFile(tmp, os.O_CREATE|os.O_TRUNC|os.O_WRONLY, 0o644)
 	if err != nil {
 		return err
 	}
-	if _, err := f.Write(encodeSnapshot(sd)); err != nil {
+	if _, err := f.Write(data); err != nil {
 		f.Close()
 		os.Remove(tmp)
 		return err

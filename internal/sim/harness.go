@@ -96,6 +96,14 @@ func (h *harness) buildService(nd *node) (*bft.SpaceService, error) {
 	return bft.NewDurableSpaceService(policy.AllowAll(), db, 1)
 }
 
+// compactEvery draws the replicas' checkpoint grid from the run's seed:
+// 1 makes every checkpoint a full-state digest, 3 puts delta
+// checkpoints, chain packs and a recovered replica's re-join onto the
+// chain under the same schedules.
+func compactEvery(seed int64) int {
+	return 1 + 2*rand.New(rand.NewSource(seed^0xc9a1d)).Intn(2)
+}
+
 func (h *harness) replicaIDs() []string {
 	ids := make([]string, len(h.nodes))
 	for i, nd := range h.nodes {
@@ -123,13 +131,11 @@ func (h *harness) startReplica(nd *node) error {
 		Service:   svc,
 		Logger:    lg,
 		// Small checkpoint interval so state transfer and checkpoint
-		// agreement are exercised within a short horizon. CompactEvery 1
-		// makes every checkpoint a full-state digest — a pure function of
-		// the replicated state, which the cross-replica agreement
-		// invariant compares (delta-chained digests legitimately dissent
-		// until the next re-base, so they cannot be compared directly).
+		// agreement are exercised within a short horizon. Whatever the
+		// mode, a digest an honest replica publishes is the group's: the
+		// cross-replica agreement invariant compares them directly.
 		CheckpointInterval:    4,
-		CompactEvery:          1,
+		CompactEvery:          compactEvery(h.sched.Seed),
 		KeepCheckpointHistory: true,
 		ViewChangeTimeout:     150 * time.Millisecond,
 		BatchSize:             4,

@@ -308,7 +308,7 @@ func runTwoPC(sched Schedule) Result {
 				Transport:             net.Endpoint(id),
 				Service:               svc,
 				CheckpointInterval:    4,
-				CompactEvery:          1,
+				CompactEvery:          compactEvery(sched.Seed),
 				KeepCheckpointHistory: true,
 				ViewChangeTimeout:     150 * time.Millisecond,
 				BatchSize:             4,

@@ -835,6 +835,15 @@ func (s *Space) ForEach(fn func(tuple.Tuple) bool) {
 	s.forEachLocked(fn)
 }
 
+// ForEachSeq is ForEach with each tuple's sequence number: the space's
+// contents exactly as Install takes them back, streamed without a copy.
+// The durability engine writes its snapshot from it.
+func (s *Space) ForEachSeq(fn func(SeqTuple) bool) {
+	s.rlockAll()
+	defer s.runlockAll()
+	s.forEachSeqLocked(fn)
+}
+
 func (s *Space) forEachLocked(fn func(tuple.Tuple) bool) {
 	s.forEachSeqLocked(func(st SeqTuple) bool { return fn(st.T) })
 }

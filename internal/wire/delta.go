@@ -72,6 +72,13 @@ const MaxDeltaOps = 1 << 20
 // encode to equal bytes — the chained checkpoint digest depends on it.
 func EncodeDelta(d Delta) []byte {
 	w := NewWriter()
+	AppendDelta(w, d)
+	return w.Data()
+}
+
+// AppendDelta writes d's canonical encoding to w, for a caller that
+// sized the writer itself.
+func AppendDelta(w *Writer, d Delta) {
 	w.Uvarint(uint64(len(d.Ops)))
 	for _, op := range d.Ops {
 		w.Byte(op.Kind)
@@ -102,7 +109,6 @@ func EncodeDelta(d Delta) []byte {
 			panic(fmt.Sprintf("wire: encoding delta op of unknown kind %d", op.Kind))
 		}
 	}
-	return w.Data()
 }
 
 // DecodeDelta parses an encoded delta. Like every wire decoder it faces

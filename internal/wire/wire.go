@@ -26,7 +26,13 @@ type Writer struct {
 // NewWriter returns an empty writer. The buffer is presized for the
 // protocol's typical small messages, so the append chain of a message
 // encode usually costs one allocation instead of a growth ladder.
-func NewWriter() *Writer { return &Writer{buf: make([]byte, 0, 128)} }
+func NewWriter() *Writer { return NewWriterSize(128) }
+
+// NewWriterSize returns an empty writer with room for n bytes — for
+// encoders that know roughly how much they will write (a snapshot is
+// about as long as the previous one), so a large message is built in
+// one allocation instead of a ladder of doublings.
+func NewWriterSize(n int) *Writer { return &Writer{buf: make([]byte, 0, n)} }
 
 // Data returns the accumulated bytes.
 func (w *Writer) Data() []byte { return w.buf }

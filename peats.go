@@ -390,7 +390,7 @@ func NewLocalCluster(f int, pol Policy, opts ...Option) (*Cluster, error) {
 			db, err = durable.Open(durable.Options{
 				Dir:  filepath.Join(o.dataDir, fmt.Sprintf("r%d", i)),
 				Sync: o.fsync,
-				// The replicas compact at full checkpoints themselves.
+				// The replicas offer their logs for compaction at checkpoints.
 				AutoCompactBytes: -1,
 			})
 			if err == nil {
