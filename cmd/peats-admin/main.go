@@ -5,8 +5,8 @@
 //	peats-admin metrics -json 127.0.0.1:9100
 //	peats-admin top -interval 2s 127.0.0.1:9100 127.0.0.1:9101 ...
 //
-// status prints one line per replica (view, executed sequence, stable
-// checkpoint, batches, store shape). metrics dumps one endpoint's
+// status prints one line per replica (view and why the replica last left
+// one, executed sequence, stable checkpoint, batches, store shape). metrics dumps one endpoint's
 // registry, Prometheus text by default or the JSON snapshot with
 // -json. top refreshes a live view: per-replica protocol positions
 // plus the hottest counters across the fleet, ranked by rate since the
@@ -76,6 +76,7 @@ type replicaStatus struct {
 	Replica  string         `json:"replica"`
 	Group    string         `json:"group"`
 	View     uint64         `json:"view"`
+	LastVC   string         `json:"last_view_change"`
 	Executed uint64         `json:"executed"`
 	LowWater uint64         `json:"low_water"`
 	Batches  uint64         `json:"batches_proposed"`
@@ -148,19 +149,23 @@ func cmdStatus(w io.Writer, args []string) error {
 		return nil
 	}
 	tw := tabwriter.NewWriter(w, 2, 4, 2, ' ', 0)
-	fmt.Fprintln(tw, "REPLICA\tGROUP\tVIEW\tEXECUTED\tLOW-WATER\tBATCHES\tRECORDS\tSTORE\tBUILD")
+	fmt.Fprintln(tw, "REPLICA\tGROUP\tVIEW\tLAST-VIEW-CHANGE\tEXECUTED\tLOW-WATER\tBATCHES\tRECORDS\tSTORE\tBUILD")
 	for _, addr := range addrs {
 		st, err := fetchStatus(addr)
 		if err != nil {
-			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\t-\tunreachable: %v\n", addr, err)
+			fmt.Fprintf(tw, "%s\t-\t-\t-\t-\t-\t-\t-\t-\tunreachable: %v\n", addr, err)
 			continue
 		}
 		group := st.Group
 		if group == "" {
 			group = "-"
 		}
-		fmt.Fprintf(tw, "%s\t%s\t%d\t%d\t%d\t%d\t%d\t%s/%d\t%s\n",
-			st.Replica, group, st.View, st.Executed, st.LowWater,
+		lastVC := st.LastVC
+		if lastVC == "" {
+			lastVC = "-" // a server older than the field
+		}
+		fmt.Fprintf(tw, "%s\t%s\t%d\t%s\t%d\t%d\t%d\t%d\t%s/%d\t%s\n",
+			st.Replica, group, st.View, lastVC, st.Executed, st.LowWater,
 			st.Batches, st.Records, st.Engine, st.Shards, st.Build.Revision)
 	}
 	return tw.Flush()

@@ -28,6 +28,7 @@ func fakeReplica(t *testing.T, id string) (string, *metrics.Counter) {
 		return map[string]any{
 			"replica":          id,
 			"view":             1,
+			"last_view_change": "primary unreachable",
 			"executed":         42,
 			"low_water":        16,
 			"batches_proposed": 7,
@@ -48,7 +49,7 @@ func TestAdminStatus(t *testing.T) {
 		t.Fatalf("status: %v", err)
 	}
 	got := out.String()
-	for _, want := range []string{"REPLICA", "r0", "42", "indexed/4"} {
+	for _, want := range []string{"REPLICA", "r0", "42", "indexed/4", "LAST-VIEW-CHANGE", "primary unreachable"} {
 		if !strings.Contains(got, want) {
 			t.Errorf("status output missing %q:\n%s", want, got)
 		}

@@ -121,10 +121,13 @@ type serverConfig struct {
 
 // serverStatus is the /status document: the replica's protocol
 // position (read from its lock-free mirrors) plus the deployment shape.
+// LastVC is why the replica last abandoned a view: "timer", "primary
+// unreachable", "equivocation", "joined f+1", or "none".
 type serverStatus struct {
 	Replica  string         `json:"replica"`
 	Group    string         `json:"group,omitempty"`
 	View     uint64         `json:"view"`
+	LastVC   string         `json:"last_view_change"`
 	Executed uint64         `json:"executed"`
 	LowWater uint64         `json:"low_water"`
 	Batches  uint64         `json:"batches_proposed"`
@@ -323,6 +326,7 @@ func run(cfg serverConfig) error {
 				Replica:  cfg.id,
 				Group:    cfg.group,
 				View:     rep.View(),
+				LastVC:   rep.LastViewChange().String(),
 				Executed: rep.Executed(),
 				LowWater: rep.LowWater(),
 				Batches:  rep.BatchesProposed(),

@@ -104,8 +104,10 @@ func TestShutdownDrainsMetricsEndpoint(t *testing.T) {
 	if err != nil {
 		t.Fatalf("scrape /status: %v", err)
 	}
-	if !strings.Contains(body, `"replica": "r0"`) {
-		t.Errorf("/status missing replica id:\n%s", body)
+	for _, want := range []string{`"replica": "r0"`, `"last_view_change": "none"`} {
+		if !strings.Contains(body, want) {
+			t.Errorf("/status missing %s:\n%s", want, body)
+		}
 	}
 
 	sig <- syscall.SIGTERM

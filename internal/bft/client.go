@@ -25,6 +25,9 @@ import (
 // every replica only on retransmission — the happy path costs one
 // message instead of n. Without keys the client broadcasts from the
 // start, as the backups can then only vouch for first-hand copies.
+// Retransmission is due every RetransmitInterval, and at once when the
+// transport reports the presumed primary unreachable (Inbound.Down):
+// the backups can only suspect a primary over a request they hold.
 //
 // An ordered result is accepted once 2f+1 distinct replicas report
 // byte-identical results. f+1 would suffice for correctness of the
@@ -90,6 +93,9 @@ type Client struct {
 	tvotes  []voteBox      // tentative-reply camps, tallied separately
 	views   []uint64       // per-invocation reported views, by replica index
 	seen    uint64         // bitmask of replicas that reported a view
+	// unreachable marks, by replica index, the replicas the transport
+	// reported down and that have not been heard from since.
+	unreachable uint64
 }
 
 // voteBox tallies byte-identical replies per distinct result, with
@@ -207,6 +213,34 @@ func (c *Client) armRetx() {
 	}
 }
 
+// lostPrimary folds one inbound into the client's reachability marks —
+// a Down notice sets the replica's, any message from it clears it — and
+// reports whether m is the notice that the presumed primary is
+// unreachable: the caller's cue to broadcast what it has outstanding
+// now rather than at the next retransmission tick.
+func (c *Client) lostPrimary(m transport.Inbound) bool {
+	if !m.Down && c.unreachable == 0 {
+		return false
+	}
+	i, ok := c.indexes[m.From]
+	if !ok {
+		return false
+	}
+	if !m.Down {
+		c.unreachable &^= 1 << uint(i)
+		return false
+	}
+	c.unreachable |= 1 << uint(i)
+	return m.From == c.primaryGuess()
+}
+
+// primaryUnreachable reports whether the presumed primary is marked
+// unreachable, in which case a primary-first send would only wait for
+// the retransmission tick.
+func (c *Client) primaryUnreachable() bool {
+	return c.unreachable&(1<<(c.view%uint64(len(c.replicas)))) != 0
+}
+
 // ID returns the client's authenticated identity.
 func (c *Client) ID() string { return c.id }
 
@@ -274,7 +308,7 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 			_ = c.tr.SendClass(id, payload, transport.ClassRequest)
 		}
 	}
-	if req.Auth != nil {
+	if req.Auth != nil && !c.primaryUnreachable() {
 		_ = c.tr.SendClass(c.primaryGuess(), payload, transport.ClassRequest)
 	} else {
 		broadcast()
@@ -294,6 +328,9 @@ func (c *Client) InvokeCert(ctx context.Context, op []byte) ([]byte, wire.VoteCe
 		case m, ok := <-c.tr.Inbox():
 			if !ok {
 				return nil, wire.VoteCert{}, fmt.Errorf("bft client: transport closed")
+			}
+			if c.lostPrimary(m) {
+				broadcast()
 			}
 			rep, _, ok := c.replyFor(m, req.ReqID, 1)
 			if !ok || rep.ReadOnly || rep.Tentative {
@@ -388,7 +425,7 @@ func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][
 			if done[k] {
 				continue
 			}
-			if authed && !retransmit {
+			if authed && !retransmit && !c.primaryUnreachable() {
 				// Happy path: the primary relays the request inside its
 				// batch, and the authenticator vector lets backups vouch
 				// for it.
@@ -416,6 +453,9 @@ func (c *Client) ordered(ctx context.Context, firstID uint64, ops [][]byte) ([][
 		case m, ok := <-c.tr.Inbox():
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
+			}
+			if c.lostPrimary(m) {
+				send(true)
 			}
 			rep, k, ok := c.replyFor(m, firstID, windows)
 			if !ok || rep.ReadOnly || done[k] {
@@ -494,6 +534,7 @@ func (c *Client) InvokeReadOnly(ctx context.Context, op []byte) ([]byte, error) 
 			if !ok {
 				return nil, fmt.Errorf("bft client: transport closed")
 			}
+			c.lostPrimary(m) // read-only requests are broadcast; only keep the marks current
 			rep, _, ok := c.replyFor(m, ro.ReqID, 1)
 			if !ok || !rep.ReadOnly {
 				continue

@@ -35,7 +35,8 @@ const (
 	// units discarded.
 	EventTentativeRollback EventType = "tentative_rollback"
 	// EventViewChangeStart fires when the replica abandons its view and
-	// broadcasts a VIEW-CHANGE. Seq is unused; View is the target view.
+	// broadcasts a VIEW-CHANGE. Seq is unused; View is the target view;
+	// N is the ViewChangeCause.
 	EventViewChangeStart EventType = "view_change_start"
 	// EventViewInstalled fires when a view installs (NEW-VIEW processed
 	// or quorum-adopted). View is the installed view.
@@ -47,6 +48,39 @@ const (
 	// replaces local state at Seq.
 	EventStateTransferInstalled EventType = "state_transfer_installed"
 )
+
+// ViewChangeCause says why a replica abandoned a view: the answer to
+// "why did the view change?" on the event stream, in the replica's log
+// line and on /status.
+type ViewChangeCause int
+
+const (
+	// CauseTimer: a pending request did not commit, or a view change did
+	// not complete, within the view-change timeout.
+	CauseTimer ViewChangeCause = iota + 1
+	// CauseUnreachable: the transport reported the view's primary
+	// unreachable while the replica was waiting on it.
+	CauseUnreachable
+	// CauseEquivocation: the primary proposed two batches for one
+	// sequence number.
+	CauseEquivocation
+	// CauseJoined: f+1 replicas had already moved to the view.
+	CauseJoined
+)
+
+func (c ViewChangeCause) String() string {
+	switch c {
+	case CauseTimer:
+		return "timer"
+	case CauseUnreachable:
+		return "primary unreachable"
+	case CauseEquivocation:
+		return "equivocation"
+	case CauseJoined:
+		return "joined f+1"
+	}
+	return "none"
+}
 
 // Event is one structured protocol event.
 type Event struct {

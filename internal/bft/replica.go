@@ -269,7 +269,11 @@ type Replica struct {
 
 	inViewChange bool
 	nextTimeout  time.Duration
-	viewChanges  map[uint64]map[string]recordedVC
+	// unreachable marks, by group index, the replicas the local transport
+	// reported down (transport.Inbound.Down) and that have not been heard
+	// from since. See skipUnreachable.
+	unreachable uint64
+	viewChanges map[uint64]map[string]recordedVC
 	// vcAcks collects VIEW-CHANGE-ACKs at the would-be primary:
 	// view → origin replica → content digest → acknowledging replicas.
 	vcAcks map[uint64]map[string]map[[32]byte]map[string]struct{}
@@ -301,6 +305,7 @@ type Replica struct {
 	batchesMirror   atomic.Uint64
 	lowWaterMirror  atomic.Uint64
 	tentDepthMirror atomic.Int64
+	vcCauseMirror   atomic.Int32 // cause of the latest view change started
 
 	// m holds the protocol metric handles — all nil without
 	// cfg.Metrics, and every operation on a nil handle no-ops.
@@ -566,6 +571,12 @@ func (r *Replica) LogRecords() int64 { return r.recordsMirror.Load() }
 // issued as primary (for tests and diagnostics).
 func (r *Replica) BatchesProposed() uint64 { return r.batchesMirror.Load() }
 
+// LastViewChange returns why this replica last abandoned a view (zero,
+// printing as "none", if it never did). Safe from any goroutine.
+func (r *Replica) LastViewChange() ViewChangeCause {
+	return ViewChangeCause(r.vcCauseMirror.Load())
+}
+
 // LowWater returns the last stable checkpoint sequence number. Safe
 // from any goroutine.
 func (r *Replica) LowWater() uint64 { return r.lowWaterMirror.Load() }
@@ -619,7 +630,31 @@ func (r *Replica) sync() {
 	r.tentDepthMirror.Store(int64(len(r.tentSegs)))
 }
 
+// dispatch handles one inbound: a message, or the transport's notice
+// that a peer is unreachable. While any replica is marked unreachable,
+// a message from it clears the mark and every event re-applies the
+// connection-loss rule (skipUnreachable); a healthy group pays one
+// branch per message.
 func (r *Replica) dispatch(m transport.Inbound) {
+	if !m.Down && r.unreachable == 0 {
+		r.handle(m)
+		return
+	}
+	if i, ok := r.indexes[m.From]; ok && m.From != r.cfg.ID {
+		if m.Down {
+			r.logf("transport reports %s unreachable", m.From)
+			r.unreachable |= 1 << uint(i)
+		} else {
+			r.unreachable &^= 1 << uint(i)
+		}
+	}
+	if !m.Down {
+		r.handle(m)
+	}
+	r.skipUnreachable()
+}
+
+func (r *Replica) handle(m transport.Inbound) {
 	msg, err := Unmarshal(m.Payload)
 	if err != nil {
 		r.logf("drop malformed message from %s: %v", m.From, err)
@@ -1095,13 +1130,13 @@ func (r *Replica) onBatch(b Batch) {
 	if e.batch != nil {
 		if e.batch.Digest != b.Digest {
 			r.logf("conflicting proposal at seq %d — primary equivocates", b.Seq)
-			r.startViewChange(r.view + 1)
+			r.startViewChange(r.view+1, CauseEquivocation)
 		}
 		return
 	}
 	if buffered, dup := r.unverified[b.Seq]; dup && buffered.b.Digest != b.Digest {
 		r.logf("conflicting proposal at seq %d — primary equivocates", b.Seq)
-		r.startViewChange(r.view + 1)
+		r.startViewChange(r.view+1, CauseEquivocation)
 		return
 	}
 	if !r.batchVerifiable(b, ds) {

@@ -16,58 +16,77 @@ import (
 	"peats/internal/universal"
 )
 
-// startTCPCluster runs a 3f+1 replica group over real TCP loopback with
-// HMAC-authenticated frames — the cmd/peats-server deployment, in-process.
-func startTCPCluster(t *testing.T, f int, pol policy.Policy, clients []string) ([]string, map[string]string, []byte) {
+// tcpGroup is a 3f+1 replica group over real TCP loopback with
+// HMAC-authenticated frames — the cmd/peats-server deployment,
+// in-process.
+type tcpGroup struct {
+	ids    []string
+	addrs  map[string]string
+	master []byte
+	reps   []*Replica
+	trs    []*transport.TCP
+}
+
+// startTCPGroup starts the group; tweak, when non-nil, adjusts each
+// replica's configuration before it is built.
+func startTCPGroup(t *testing.T, f int, pol policy.Policy, clients []string, tweak func(*ReplicaConfig)) *tcpGroup {
 	t.Helper()
 	n := 3*f + 1
-	ids := make([]string, n)
-	for i := range ids {
-		ids[i] = fmt.Sprintf("r%d", i)
+	g := &tcpGroup{ids: make([]string, n), addrs: make(map[string]string), master: []byte("tcp-test-master")}
+	for i := range g.ids {
+		g.ids[i] = fmt.Sprintf("r%d", i)
 	}
-	master := []byte("tcp-test-master")
-	everyone := append(append([]string{}, ids...), clients...)
+	everyone := append(append([]string{}, g.ids...), clients...)
 
-	addrs := make(map[string]string)
-	var trs []*transport.TCP
 	krs := make(map[string]*auth.Keyring)
-	for _, id := range ids {
-		krs[id] = auth.NewKeyringFromMaster(master, id, everyone)
-		tr, err := transport.NewTCP(id, "127.0.0.1:0", addrs, krs[id])
+	for _, id := range g.ids {
+		krs[id] = auth.NewKeyringFromMaster(g.master, id, everyone)
+		tr, err := transport.NewTCP(id, "127.0.0.1:0", g.addrs, krs[id])
 		if err != nil {
 			t.Fatal(err)
 		}
-		trs = append(trs, tr)
-		addrs[id] = tr.Addr()
+		g.trs = append(g.trs, tr)
+		g.addrs[id] = tr.Addr()
 	}
-	for _, tr := range trs {
-		for id, addr := range addrs {
+	for _, tr := range g.trs {
+		for id, addr := range g.addrs {
 			tr.SetPeerAddr(id, addr)
 		}
 	}
-	var reps []*Replica
-	for i, id := range ids {
-		rep, err := NewReplica(ReplicaConfig{
-			ID: id, Replicas: ids, F: f,
-			Transport: trs[i],
+	for i, id := range g.ids {
+		cfg := ReplicaConfig{
+			ID: id, Replicas: g.ids, F: f,
+			Transport: g.trs[i],
 			Service:   NewSpaceService(pol),
 			Keyring:   krs[id], // vouch for authenticated requests seen only in a batch
-		})
+		}
+		if tweak != nil {
+			tweak(&cfg)
+		}
+		rep, err := NewReplica(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		rep.Start()
-		reps = append(reps, rep)
+		g.reps = append(g.reps, rep)
 	}
+	// A test that stops a replica itself takes it out of g.reps: Stop is
+	// not idempotent.
 	t.Cleanup(func() {
-		for _, r := range reps {
+		for _, r := range g.reps {
 			r.Stop()
 		}
-		for _, tr := range trs {
+		for _, tr := range g.trs {
 			_ = tr.Close()
 		}
 	})
-	return ids, addrs, master
+	return g
+}
+
+func startTCPCluster(t *testing.T, f int, pol policy.Policy, clients []string) ([]string, map[string]string, []byte) {
+	t.Helper()
+	g := startTCPGroup(t, f, pol, clients, nil)
+	return g.ids, g.addrs, g.master
 }
 
 func tcpClient(t *testing.T, ids []string, addrs map[string]string, master []byte, id string, f int) *RemoteSpace {

@@ -562,34 +562,11 @@ func (c *captureTransport) Close() error                    { return nil }
 // (StartDriven): the test plays the primary r0, the peers r2 and r3 and
 // every client by delivering their messages itself, so the order in
 // which proposal, votes and quorums reach r1 is exact.
-type drivenBackup struct {
-	t   *testing.T
-	rep *Replica
-	out *captureTransport
-}
+type drivenBackup struct{ *drivenReplica }
 
 func newDrivenBackup(t *testing.T, svc Service) *drivenBackup {
 	t.Helper()
-	out := &captureTransport{id: "r1"}
-	rep, err := NewReplica(ReplicaConfig{
-		ID: "r1", Replicas: []string{"r0", "r1", "r2", "r3"}, F: 1,
-		Transport: out, Service: svc, ViewChangeTimeout: time.Hour, Logger: testLogger,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	rep.StartDriven()
-	t.Cleanup(rep.Stop)
-	return &drivenBackup{t: t, rep: rep, out: out}
-}
-
-func (d *drivenBackup) deliver(from string, msg any) {
-	d.t.Helper()
-	payload, err := Marshal(msg)
-	if err != nil {
-		d.t.Fatal(err)
-	}
-	d.rep.Deliver(transport.Inbound{From: from, Payload: payload})
+	return &drivenBackup{newDrivenReplica(t, "r1", svc)}
 }
 
 // propose delivers the clients' own copies of the requests (a backup

@@ -8,15 +8,15 @@ import (
 )
 
 // View changes: a backup that suspects the primary (a pending request
-// did not commit before its timer fired, or the primary equivocated)
-// broadcasts VIEW-CHANGE for the next view with the batches it
-// prepared. The primary of the new view installs it with NEW-VIEW once
-// it holds 2f+1 view-change messages, re-issuing — under their original
-// digests — the batches prepared by any quorum member; holes in the
-// sequence space are filled with no-op batches so execution never
-// stalls. A replica that sees f+1 view-changes for a higher view joins
-// the change even if its own timer has not fired (the PBFT liveness
-// rule).
+// did not commit before its timer fired, the transport reports the
+// primary unreachable, or the primary equivocated) broadcasts
+// VIEW-CHANGE for the next view with the batches it prepared. The
+// primary of the new view installs it with NEW-VIEW once it holds 2f+1
+// view-change messages, re-issuing — under their original digests — the
+// batches prepared by any quorum member; holes in the sequence space
+// are filled with no-op batches so execution never stalls. A replica
+// that sees f+1 view-changes for a higher view joins the change even if
+// its own timer has not fired (the PBFT liveness rule).
 
 // armTimer starts (or restarts) the view-change timer.
 func (r *Replica) armTimer() {
@@ -39,16 +39,35 @@ func (r *Replica) disarmTimer() {
 }
 
 func (r *Replica) onTimeout() {
-	if r.inViewChange {
-		// The view change itself stalled: move to the next view.
-		r.startViewChange(r.view + 1)
+	if !r.inViewChange && len(r.pending) == 0 {
 		return
 	}
-	if len(r.pending) == 0 {
-		return
+	// A pending request did not commit in time, or the view change itself
+	// stalled: either way the view's primary is the suspect.
+	r.startViewChange(r.view+1, CauseTimer)
+	r.skipUnreachable()
+}
+
+// skipUnreachable is the fast half of failure detection. The timer
+// above suspects a primary that is silent; this suspects one the local
+// transport reported unreachable (its connection ended and a redial
+// failed) and that has sent nothing since — in exactly the situations
+// the timer is armed for: a request is pending, or a view change waits
+// for its NEW-VIEW. It moves on at once instead of waiting the timeout
+// out, and past every following primary that is unreachable too. The
+// timer stays armed throughout, so a wrong or missing notice costs at
+// most what it cost before.
+//
+// Safety does not depend on any of this: a view change is safe whenever
+// it starts. A notice is local knowledge no message can forge; f
+// replicas suspecting falsely cannot move the view (2f+1 VIEW-CHANGEs
+// install one, f+1 make others join), and a primary that cuts its own
+// connections only deposes itself.
+func (r *Replica) skipUnreachable() {
+	// The primary of view v sits at group index v mod n.
+	for r.unreachable&(1<<(r.view%uint64(r.n))) != 0 && (r.inViewChange || len(r.pending) > 0) {
+		r.startViewChange(r.view+1, CauseUnreachable)
 	}
-	r.logf("request timer expired, suspecting primary %s", r.primary(r.view))
-	r.startViewChange(r.view + 1)
 }
 
 // preparedProofs collects the batches this replica prepared above the
@@ -70,22 +89,24 @@ func (r *Replica) preparedProofs() []Batch {
 	return out
 }
 
-func (r *Replica) startViewChange(newView uint64) {
+func (r *Replica) startViewChange(newView uint64, cause ViewChangeCause) {
 	if newView <= r.view {
 		return
 	}
+	suspect := r.primary(r.view)
 	r.inViewChange = true
 	r.view = newView
 	r.disarmBatchTimer()
 	r.m.viewChanges.Inc()
-	r.emit(EventViewChangeStart, 0, 0)
+	r.vcCauseMirror.Store(int32(cause))
+	r.emit(EventViewChangeStart, 0, int(cause))
 	vc := ViewChange{
 		NewView:    newView,
 		LastStable: r.lowWater,
 		Prepared:   r.preparedProofs(),
 		Replica:    r.cfg.ID,
 	}
-	r.logf("starting view change to %d (%d prepared)", newView, len(vc.Prepared))
+	r.logf("starting view change to %d, leaving %s: %s (%d prepared)", newView, suspect, cause, len(vc.Prepared))
 	r.recordViewChange(vc)
 	r.broadcast(vc)
 	// Exponential backoff prevents view-change livelock under asynchrony.
@@ -109,7 +130,7 @@ func (r *Replica) onViewChange(vc ViewChange) {
 	// Liveness rule: join a view change supported by f+1 replicas even
 	// if our own timer has not fired.
 	if vc.NewView > r.view && len(r.viewChanges[vc.NewView]) >= r.cfg.F+1 {
-		r.startViewChange(vc.NewView)
+		r.startViewChange(vc.NewView, CauseJoined)
 	}
 	r.maybeInstallView(vc.NewView)
 }

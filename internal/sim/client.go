@@ -154,9 +154,16 @@ func (c *client) retransmit() {
 func (c *client) idle() bool { return c.firstID == 0 }
 
 // deliver processes one inbound message: replies vote per the client
-// acceptance rule, everything else is ignored.
+// acceptance rule, a notice that a replica is unreachable brings the
+// next retransmission forward (as bft.Client does for its presumed
+// primary; this client has no guess and always broadcasts), everything
+// else is ignored.
 func (c *client) deliver(m transport.Inbound) {
 	if c.idle() {
+		return
+	}
+	if m.Down {
+		c.retransmit()
 		return
 	}
 	msg, err := bft.Unmarshal(m.Payload)

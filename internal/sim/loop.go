@@ -70,12 +70,12 @@ func (h *eventHeap) Pop() any {
 // events — runs as loop events; nothing else may touch simulated
 // state.
 type Loop struct {
-	now    time.Time
-	heap   eventHeap
-	seq    uint64
-	fired  uint64
-	trace  hash.Hash
-	tbuf   []byte
+	now   time.Time
+	heap  eventHeap
+	seq   uint64
+	fired uint64
+	trace hash.Hash
+	tbuf  []byte
 }
 
 // NewLoop returns a loop positioned at the virtual epoch.

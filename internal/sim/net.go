@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"sort"
 	"time"
 
 	"peats/internal/transport"
@@ -55,7 +56,12 @@ func (n *Net) Register(id string, h func(transport.Inbound)) {
 }
 
 // SetDown marks a node crashed (true) or back up (false). Messages in
-// flight toward a down node are discarded at delivery time.
+// flight toward a down node are discarded at delivery time. Going down
+// is also an event for everyone else, as it is on a real network where
+// the node's connections end: each surviving node is sent a Down notice
+// (transport.Inbound.Down) one link delay later — unless the node is
+// back by then, the case where a real transport's confirming redial
+// succeeds and it stays quiet.
 func (n *Net) SetDown(id string, down bool) {
 	n.Endpoint(id)
 	n.slots[id].down = down
@@ -64,6 +70,37 @@ func (n *Net) SetDown(id string, down bool) {
 		label = "down"
 	}
 	n.loop.traceEvent(label, id, "", nil)
+	if !down {
+		return
+	}
+	// Sorted, because each notice draws its delay from the run's RNG.
+	peers := make([]string, 0, len(n.slots))
+	for peer := range n.slots {
+		if peer != id {
+			peers = append(peers, peer)
+		}
+	}
+	sort.Strings(peers)
+	for _, peer := range peers {
+		peer := peer
+		n.loop.After(n.linkDelay(), func() {
+			d := n.slots[peer]
+			if !n.slots[id].down || d.down || d.handler == nil {
+				return
+			}
+			n.loop.traceEvent("lost", id, peer, nil)
+			d.handler(transport.Inbound{From: id, Down: true})
+		})
+	}
+}
+
+// linkDelay draws one message's base delivery delay.
+func (n *Net) linkDelay() time.Duration {
+	delay := n.sched.DelayMin
+	if span := n.sched.DelayMax - n.sched.DelayMin; span > 0 {
+		delay += time.Duration(n.rng.Int63n(int64(span) + 1))
+	}
+	return delay
 }
 
 // SetByzantine marks a node's outbound messages for random mutation.
@@ -148,10 +185,7 @@ func (n *Net) route(from, to string, payload []byte) error {
 		}
 		payload = mutated
 	}
-	delay := n.sched.DelayMin
-	if span := n.sched.DelayMax - n.sched.DelayMin; span > 0 {
-		delay += time.Duration(n.rng.Int63n(int64(span) + 1))
-	}
+	delay := n.linkDelay()
 	if n.faults && n.sched.ReorderProb > 0 && n.rng.Float64() < n.sched.ReorderProb &&
 		n.sched.ReorderMax > 0 {
 		delay += time.Duration(n.rng.Int63n(int64(n.sched.ReorderMax) + 1))

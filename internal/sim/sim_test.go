@@ -1,11 +1,14 @@
 package sim
 
 import (
+	"math/rand"
 	"os"
 	"runtime"
 	"strconv"
 	"testing"
 	"time"
+
+	"peats/internal/transport"
 )
 
 // sweepSeeds is the per-family seed count for the scenario sweeps:
@@ -120,5 +123,45 @@ func TestMinimizeStripsIrrelevantFaults(t *testing.T) {
 	}
 	if !Run(m).Failed() {
 		t.Error("minimized schedule no longer fails")
+	}
+}
+
+// TestCrashSendsDownNotices pins the simulated network's half of the
+// connection-loss detector: a node that goes down is reported to every
+// other live node one link delay later — the notice a real transport
+// makes when the node's connections end — and to nobody if it is back
+// before then, the case where the real transport's confirming redial
+// succeeds.
+func TestCrashSendsDownNotices(t *testing.T) {
+	sched := Schedule{DelayMin: time.Millisecond, DelayMax: 3 * time.Millisecond}
+	run := func(backAfter time.Duration) map[string][]transport.Inbound {
+		loop := NewLoop()
+		net := NewNet(loop, rand.New(rand.NewSource(1)), &sched)
+		got := make(map[string][]transport.Inbound)
+		for _, id := range []string{"r0", "r1", "c0"} {
+			id := id
+			net.Register(id, func(m transport.Inbound) { got[id] = append(got[id], m) })
+		}
+		net.Register("r2", nil) // already crashed: no handler, marked down
+		net.slots["r2"].down = true
+		net.SetDown("r0", true)
+		if backAfter > 0 {
+			loop.After(backAfter, func() { net.SetDown("r0", false) })
+		}
+		loop.RunUntil(epoch.Add(time.Second))
+		return got
+	}
+
+	got := run(0)
+	for _, id := range []string{"r1", "c0"} {
+		if len(got[id]) != 1 || !got[id][0].Down || got[id][0].From != "r0" || got[id][0].Payload != nil {
+			t.Errorf("%s received %+v, want one Down notice for r0", id, got[id])
+		}
+	}
+	if len(got["r0"]) != 0 || len(got["r2"]) != 0 {
+		t.Errorf("down nodes were notified: r0 %+v, r2 %+v", got["r0"], got["r2"])
+	}
+	if got := run(time.Microsecond); len(got) != 0 {
+		t.Errorf("a node back within the link delay was still reported: %+v", got)
 	}
 }

@@ -110,7 +110,9 @@ func (co *coordinator) tx() *simTx { return co.txs[co.k] }
 
 // start launches transaction k's prepares (or finishes the run).
 func (co *coordinator) start() {
-	if simDebug { println("start tx", co.k) }
+	if simDebug {
+		println("start tx", co.k)
+	}
 	if co.k >= len(co.txs) {
 		co.done = true
 		return
@@ -139,7 +141,9 @@ func (co *coordinator) onVote(gi int, result []byte, cert wire.VoteCert) {
 		co.fail("tx %s: group g%d returned a malformed prepare outcome", co.tx().id, gi)
 		return
 	}
-	if simDebug { println("vote", gi, "state", int(o.State), "tx", co.k) }
+	if simDebug {
+		println("vote", gi, "state", int(o.State), "tx", co.k)
+	}
 	co.votes[gi], co.certs[gi] = o, cert
 	co.gotVotes++
 	if co.gotVotes < 2 {
@@ -184,7 +188,9 @@ func (co *coordinator) deliverTo(cl *client, gi int, dec wire.TxDecision, commit
 				tx.id, gi, o.State, want)
 			return
 		}
-		if simDebug { println("decision ok", gi, "tx", co.k) }
+		if simDebug {
+			println("decision ok", gi, "tx", co.k)
+		}
 		then(gi)
 	}
 	cl.submit(wire.EncodeTxDecision(dec))
@@ -215,7 +221,9 @@ func (co *coordinator) decide(through [2]*client, dec wire.TxDecision, commit bo
 // semantics): status-probe every participant — pinning the transaction
 // aborted where unknown — and deliver the unique justified decision.
 func (co *coordinator) recover() {
-	if simDebug { println("recover tx", co.k) }
+	if simDebug {
+		println("recover tx", co.k)
+	}
 	tx := co.tx()
 	statusOp := wire.EncodeTxStatus(wire.TxStatus{TxID: tx.id})
 	got := 0

@@ -6,7 +6,7 @@ import (
 
 // EnableMetrics registers the TCP transport's metric series. The load
 // counters the transport already keeps (frames, writes, bytes, drops,
-// backpressure, dials) are exposed as scrape-time counter functions
+// backpressure, dials, peers down) are exposed as scrape-time counter functions
 // over the same atomics; queue-depth gauges walk the peer lanes under
 // their own locks. The only new hot-path cost is one histogram
 // observation per coalesced write. A nil registry is a no-op.
@@ -38,6 +38,9 @@ func (t *TCP) EnableMetrics(reg *metrics.Registry, labels ...metrics.Label) {
 	reg.CounterFunc("peats_transport_dials_total",
 		"Outbound dial attempts, successful or not (redials included).",
 		func() float64 { return float64(t.stats.dials.Load()) }, labels...)
+	reg.CounterFunc("peats_transport_peers_down_total",
+		"Peers reported unreachable: an established connection ended and the redial failed.",
+		func() float64 { return float64(t.stats.peersDown.Load()) }, labels...)
 
 	reg.GaugeFunc("peats_transport_connections",
 		"Live connections (peer-pinned plus inbound).",

@@ -50,6 +50,11 @@ import (
 // an asynchronous, lossy network and retransmit. When two peers dial
 // each other simultaneously, both sides deterministically converge on
 // the connection dialed by the lexicographically lower identity.
+//
+// Losing a peer is an event, not just a state: when the control
+// connection pinned to a peer with a dial address ends under us and the
+// one redial that follows fails too, the Inbox delivers a single
+// Inbound{From: peer, Down: true} (see peerState for the exact rule).
 type TCP struct {
 	self string
 	kr   *auth.Keyring
@@ -68,6 +73,9 @@ type TCP struct {
 	asm   map[string]*assembly // per-peer bulk reassembly state
 
 	stats tcpCounters
+	// suspects counts the peers whose state is not peerUp, so the read
+	// path pays one atomic load per frame while every peer is reachable.
+	suspects atomic.Int32
 
 	// mFramesPerWrite is the coalescing histogram, nil until
 	// EnableMetrics; a nil handle no-ops.
@@ -202,6 +210,7 @@ type tcpCounters struct {
 	protoDropped atomic.Uint64
 	backpressure atomic.Uint64
 	dials        atomic.Uint64
+	peersDown    atomic.Uint64
 }
 
 // TCPStats is a snapshot of the transport's load counters.
@@ -220,6 +229,8 @@ type TCPStats struct {
 	Backpressure uint64
 	// Dials counts completed outbound dial attempts (successful or not).
 	Dials uint64
+	// PeersDown counts the Down notices delivered (one per loss episode).
+	PeersDown uint64
 	// Conns is the number of live connections (peer-pinned + inbound).
 	Conns int
 }
@@ -234,6 +245,7 @@ func (t *TCP) Stats() TCPStats {
 		ProtoDropped:   t.stats.protoDropped.Load(),
 		Backpressure:   t.stats.backpressure.Load(),
 		Dials:          t.stats.dials.Load(),
+		PeersDown:      t.stats.peersDown.Load(),
 	}
 	seen := make(map[net.Conn]struct{})
 	t.mu.Lock()
@@ -431,7 +443,92 @@ type tcpPeer struct {
 	connDialed bool     // conn was dialed by us (tie-break bookkeeping)
 	bulkConn   net.Conn // dedicated bulk connection (always self-dialed)
 	nextStream uint64
+	state      peerState
 	closed     bool
+}
+
+// peerState is what the transport knows against a peer's reachability.
+// It only ever leaves peerUp when an *established* control connection —
+// one pinned by a dial that succeeded or by an authenticated inbound
+// frame — ends under us: a read error or a failed write, never a
+// connection the dial tie-break replaced, our own Close, or a dial that
+// found nobody at start-up. The control writer then owes one confirming
+// dial. If it fails, the peer is reported Down, once; if a connection
+// lands, or the peer has no dial address (a client on an ephemeral
+// port), the loss is forgotten. The next authenticated frame from the
+// peer ends the episode, so a later loss is reported again.
+type peerState uint8
+
+const (
+	peerUp   peerState = iota
+	peerLost           // pinned connection ended; confirming dial owed
+	peerDown           // confirmed and reported; waiting to hear from it
+)
+
+// setState moves the peer between reachability states, keeping the
+// transport's suspect count in step. Caller holds p.mu.
+func (p *tcpPeer) setState(s peerState) {
+	switch {
+	case p.state == peerUp && s != peerUp:
+		p.t.suspects.Add(1)
+	case p.state != peerUp && s == peerUp:
+		p.t.suspects.Add(-1)
+	}
+	p.state = s
+}
+
+// unpin clears conn as the peer's control connection because it failed,
+// and has the control writer confirm the loss. Caller holds p.mu.
+func (p *tcpPeer) unpin(conn net.Conn) {
+	if p.conn != conn {
+		return // replaced by the tie-break, or already unpinned
+	}
+	p.conn = nil
+	if p.state == peerUp && !p.closed {
+		p.setState(peerLost)
+		p.condCtl.Signal()
+	}
+}
+
+// dialFailed runs after every failed control dial: the one that follows
+// a loss confirms it and reports the peer down.
+func (p *tcpPeer) dialFailed() {
+	p.mu.Lock()
+	confirmed := p.state == peerLost && !p.closed
+	if confirmed {
+		p.setState(peerDown)
+	}
+	p.mu.Unlock()
+	if !confirmed {
+		return
+	}
+	p.t.stats.peersDown.Add(1)
+	select {
+	case p.t.inbox <- Inbound{From: p.id, Down: true}:
+	case <-p.t.done:
+	}
+}
+
+// forgetLoss drops an unconfirmed loss: a connection landed again, or
+// there is no address to confirm against. Caller holds p.mu.
+func (p *tcpPeer) forgetLoss() {
+	if p.state == peerLost {
+		p.setState(peerUp)
+	}
+}
+
+// heard ends from's loss episode: called for an authenticated frame
+// while any peer is suspect.
+func (t *TCP) heard(from string) {
+	t.mu.Lock()
+	p := t.peers[from]
+	t.mu.Unlock()
+	if p == nil {
+		return
+	}
+	p.mu.Lock()
+	p.setState(peerUp)
+	p.mu.Unlock()
 }
 
 // enqueue admits payload to the class lane, applying the lane's
@@ -505,12 +602,13 @@ func (p *tcpPeer) enqueue(payload []byte, class Class) error {
 }
 
 // takeBatch blocks until the writer's lanes hold frames (or the peer
-// closes, when it returns nil) and pops the next coalescing batch —
+// closes, when it reports false) and pops the next coalescing batch —
 // the control writer drains protocol strictly before request, the bulk
 // writer drains the bulk lane — bounded by CoalesceBytes so one flush
 // can neither grow without limit nor starve a vote arriving behind a
-// request burst.
-func (p *tcpPeer) takeBatch(bulk bool, batch []outFrame) []outFrame {
+// request burst. A lost connection also wakes the control writer, with
+// whatever is queued (possibly nothing), to make the confirming dial.
+func (p *tcpPeer) takeBatch(bulk bool, batch []outFrame) ([]outFrame, bool) {
 	lo, hi, cond := int(ClassProtocol), int(ClassRequest), p.condCtl
 	if bulk {
 		lo, hi, cond = int(ClassBulk), int(ClassBulk), p.condBulk
@@ -519,9 +617,9 @@ func (p *tcpPeer) takeBatch(bulk bool, batch []outFrame) []outFrame {
 	defer p.mu.Unlock()
 	for {
 		if p.closed {
-			return nil
+			return nil, false
 		}
-		queued := false
+		queued := !bulk && p.state == peerLost
 		for class := lo; class <= hi; class++ {
 			if len(p.lanes[class]) > 0 {
 				queued = true
@@ -560,7 +658,7 @@ func (p *tcpPeer) takeBatch(bulk bool, batch []outFrame) []outFrame {
 			p.lanes[class] = lane[took:]
 		}
 	}
-	return batch
+	return batch, true
 }
 
 // writeLoop is one of the peer's two dedicated writers (control or
@@ -576,16 +674,19 @@ func (p *tcpPeer) writeLoop(bulk bool) {
 		body  []byte // MAC input scratch, reused across frames
 	)
 	for {
-		batch = p.takeBatch(bulk, batch)
-		if batch == nil {
+		var ok bool
+		if batch, ok = p.takeBatch(bulk, batch); !ok {
 			return
 		}
-		conn := p.ensureConn(bulk)
+		conn := p.ensureConn(bulk, len(batch) > 0)
 		if conn == nil {
 			if p.isClosed() {
 				return
 			}
 			continue // unroutable: the batch is dropped (lossy model)
+		}
+		if len(batch) == 0 {
+			continue // woken only to confirm a loss
 		}
 		if p.t.cfg.NoCoalesce {
 			// Benchmark baseline: the write path coalescing replaced —
@@ -641,7 +742,7 @@ func (p *tcpPeer) writeAll(bulk bool, conn net.Conn, flush []byte, frames int) n
 		}
 		p.dropConn(bulk, conn)
 		if attempt == 0 {
-			if conn = p.ensureConn(bulk); conn != nil {
+			if conn = p.ensureConn(bulk, true); conn != nil {
 				continue
 			}
 		}
@@ -660,8 +761,9 @@ func (p *tcpPeer) isClosed() bool {
 // Dial failures back off exponentially with jitter; the loop exits
 // when a connection lands (for the control writer, possibly adopted
 // from an inbound dial by the peer), the peer becomes unroutable, or
-// the transport closes.
-func (p *tcpPeer) ensureConn(bulk bool) net.Conn {
+// the transport closes — and, when the writer holds nothing to send
+// (!retry: it only came to confirm a loss), after the first failure.
+func (p *tcpPeer) ensureConn(bulk, retry bool) net.Conn {
 	backoff := p.t.cfg.RedialBackoff
 	for {
 		p.mu.Lock()
@@ -686,6 +788,11 @@ func (p *tcpPeer) ensureConn(bulk bool) net.Conn {
 		if closed || !known {
 			// No dial route (an ephemeral client that went away, or
 			// shutdown): the caller drops the batch.
+			if !bulk {
+				p.mu.Lock()
+				p.forgetLoss()
+				p.mu.Unlock()
+			}
 			return nil
 		}
 		conn, err := net.DialTimeout("tcp", addr, p.t.cfg.DialTimeout)
@@ -716,6 +823,12 @@ func (p *tcpPeer) ensureConn(bulk bool) net.Conn {
 				return kept
 			}
 			return nil // transport closed underneath us
+		}
+		if !bulk {
+			p.dialFailed()
+			if !retry {
+				return nil
+			}
 		}
 		// Jittered exponential backoff: ±50% around the nominal delay.
 		d := backoff/2 + time.Duration(rand.Int63n(int64(backoff)))
@@ -854,6 +967,7 @@ func (t *TCP) registerConn(id string, conn net.Conn, dialed bool) net.Conn {
 			adopt()
 		}
 	}
+	p.forgetLoss() // a control connection is pinned again
 	if dialed && p.conn == conn && old != conn {
 		// We own this conn and just pinned it: it doubles as the read
 		// path (the peer may answer over it rather than dial back).
@@ -870,8 +984,8 @@ func (p *tcpPeer) dropConn(bulk bool, conn net.Conn) {
 		if p.bulkConn == conn {
 			p.bulkConn = nil
 		}
-	} else if p.conn == conn {
-		p.conn = nil
+	} else {
+		p.unpin(conn)
 	}
 	p.mu.Unlock()
 	_ = conn.Close()
@@ -923,9 +1037,7 @@ func (t *TCP) readLoop(conn net.Conn) {
 		t.mu.Unlock()
 		for _, p := range peers {
 			p.mu.Lock()
-			if p.conn == conn {
-				p.conn = nil
-			}
+			p.unpin(conn)
 			p.mu.Unlock()
 		}
 		_ = conn.Close()
@@ -982,6 +1094,9 @@ func (t *TCP) readLoop(conn net.Conn) {
 			continue // forged or corrupted: drop the frame, keep the conn
 		}
 		t.stats.framesRecv.Add(1)
+		if t.suspects.Load() != 0 {
+			t.heard(from)
+		}
 		if kind == kindMsg && identified != from {
 			// Pin the connection as the reverse path to the sender
 			// (clients listen on ephemeral ports, so replies must flow

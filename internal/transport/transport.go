@@ -59,9 +59,19 @@ func (c Class) String() string {
 // The transport guarantees From is genuine (in-process: enforced by the
 // hub; TCP: verified by per-pair MAC), which is the no-impersonation
 // assumption of the model (§2.1).
+//
+// An Inbound with Down set is not a message but a notice from the local
+// transport: the connection it had to From ended and From could not be
+// reached again (Payload is nil). It is local knowledge — no bytes on
+// the wire can produce it — and a hint, not a verdict: From may only be
+// unreachable from here, and a notice can cross a message From sent just
+// before. Any later message from From supersedes it. Transports that
+// cannot observe connection loss never send one, so consumers must keep
+// their timeouts.
 type Inbound struct {
 	From    string
 	Payload []byte
+	Down    bool
 }
 
 // Transport is an asynchronous, authenticated point-to-point channel
@@ -85,7 +95,8 @@ type Transport interface {
 	// lane reports ErrBackpressure (see its contract for which lanes
 	// still deliver).
 	SendClass(to string, payload []byte, class Class) error
-	// Inbox returns the channel of received messages. After Close no
+	// Inbox returns the channel of received messages, and of the
+	// transport's own Down notices (see Inbound). After Close no
 	// further messages are delivered; consumers must also watch their
 	// own stop signal rather than rely on the channel closing.
 	Inbox() <-chan Inbound

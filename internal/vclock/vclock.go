@@ -65,12 +65,12 @@ func (realClock) NewTicker(d time.Duration, _ func()) Ticker {
 
 type realTimer struct{ t *time.Timer }
 
-func (r *realTimer) C() <-chan time.Time  { return r.t.C }
+func (r *realTimer) C() <-chan time.Time   { return r.t.C }
 func (r *realTimer) Reset(d time.Duration) { r.t.Reset(d) }
 func (r *realTimer) Stop() bool            { return r.t.Stop() }
 
 type realTicker struct{ t *time.Ticker }
 
-func (r *realTicker) C() <-chan time.Time  { return r.t.C }
+func (r *realTicker) C() <-chan time.Time   { return r.t.C }
 func (r *realTicker) Reset(d time.Duration) { r.t.Reset(d) }
 func (r *realTicker) Stop()                 { r.t.Stop() }

@@ -122,9 +122,9 @@ func TestByzantineCoordinatorCannotDivergeOutcomes(t *testing.T) {
 	forged := cert1
 	forged.Outcome = wire.EncodeTxOutcome(wire.TxOutcome{TxID: txID, State: wire.TxVoteNo})
 	abortAttempts := []wire.TxDecision{
-		{TxID: txID},                                        // no evidence at all
-		{TxID: txID, Certs: []wire.VoteCert{cert0, cert1}},  // YES votes justify no abort
-		{TxID: txID, Certs: []wire.VoteCert{forged}},        // NO outcome under YES signatures
+		{TxID: txID}, // no evidence at all
+		{TxID: txID, Certs: []wire.VoteCert{cert0, cert1}}, // YES votes justify no abort
+		{TxID: txID, Certs: []wire.VoteCert{forged}},       // NO outcome under YES signatures
 	}
 	for i, dec := range abortAttempts {
 		if o := deliver(t, c1, dec); o.State != wire.TxVoteYes {
